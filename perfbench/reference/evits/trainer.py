@@ -1,0 +1,387 @@
+"""The optimization loop: paired source/target batch sampling, the
+combined objective (classification + domain alignment + annealed
+evidential loss), adaptive-moment updates and reproducible logs.
+
+Everything is seeded: init, batch order and random pooling all derive
+from explicit seeds, so identical configs give bit-identical parameters
+and logs.
+"""
+
+from __future__ import annotations
+
+import time
+import warnings
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from . import alignment, metrics, model as mo
+from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError
+from .evidential import (
+    AnnealSchedule,
+    LabelBatch,
+    evidence_to_alpha,
+    evidential_total,
+)
+from .multiscale import aux_classification_loss, default_aux_weights
+from .tensor import backward
+
+EVIDENTIAL_KINDS = ("none", "ml", "ce", "mse")
+
+METHOD_LAMBDA2 = {"noadapt": 0.0, "ddc": 1.0, "coral": 1.0, "homm": 0.1,
+                  "mmda": 0.5}
+
+DEFAULT_LAMBDA3_GRID = (0.01, 0.1, 0.5, 1.0)
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    lambda1: float = 1.0
+    lambda2: float = 1.0
+    lambda3: float = 1.0
+
+    def __post_init__(self):
+        for value in (self.lambda1, self.lambda2, self.lambda3):
+            if not np.isfinite(value) or value < 0:
+                raise ConfigError("loss weights must be finite and >= 0")
+
+
+def default_weights(method, evidential="ce"):
+    return LossWeights(lambda1=1.0,
+                       lambda2=METHOD_LAMBDA2[method],
+                       lambda3=0.0 if evidential == "none" else 1.0)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 40
+    batch_size: int = 32
+    learning_rate: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    weight_decay: float = 0.0
+    evidential: str = "ce"  # none | ml | ce | mse
+    method: str = "noadapt"
+    weights: LossWeights = field(default_factory=LossWeights)
+    anneal_horizon: int = 10
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError("need at least one epoch")
+        if self.batch_size < 2:
+            raise ConfigError("covariance-based losses need batch size >= 2")
+        if self.evidential not in EVIDENTIAL_KINDS:
+            raise ConfigError(f"evidential kind must be one of {EVIDENTIAL_KINDS}")
+        if self.method not in alignment.METHODS:
+            raise ConfigError(f"method must be one of {alignment.METHODS}")
+        if self.anneal_horizon < 1:
+            raise ConfigError("anneal horizon must be positive")
+
+    def to_dict(self):
+        out = {
+            "epochs": self.epochs,
+            "batch_size": self.batch_size,
+            "learning_rate": self.learning_rate,
+            "beta1": self.beta1,
+            "beta2": self.beta2,
+            "adam_eps": self.adam_eps,
+            "weight_decay": self.weight_decay,
+            "evidential": self.evidential,
+            "method": self.method,
+            "lambda1": self.weights.lambda1,
+            "lambda2": self.weights.lambda2,
+            "lambda3": self.weights.lambda3,
+            "anneal_horizon": self.anneal_horizon,
+            "seed": self.seed,
+        }
+        return out
+
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    """Unweighted components; total = l1*cls + l2*domain + l3*evidential."""
+
+    cls: float
+    domain: float
+    evidential: float
+    total: float
+
+
+@dataclass(frozen=True)
+class EpochRecord:
+    epoch: int
+    losses: LossBreakdown
+    source_val_f1: float
+    wall_clock: float
+
+
+@dataclass
+class TrainLog:
+    records: list
+    seed: int
+    config: dict
+
+    def to_lines(self):
+        """Line-delimited structured records.
+
+        Wall-clock stays out of the serialized form so identical seeds
+        serialize byte-identically; timings live on the in-memory records.
+        """
+        lines = [f"seed={self.seed}"]
+        for key in sorted(self.config):
+            lines.append(f"config.{key}={self.config[key]!r}")
+        for rec in self.records:
+            lines.append(
+                "epoch={} cls={!r} domain={!r} evidential={!r} total={!r} "
+                "source_val_f1={!r}".format(
+                    rec.epoch, rec.losses.cls, rec.losses.domain,
+                    rec.losses.evidential, rec.losses.total,
+                    rec.source_val_f1))
+        return lines
+
+    def save(self, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(self.to_lines()) + "\n")
+
+
+class _ComponentFailure(ToolkitError):
+    """A loss component raised while being evaluated (NaN inputs etc.)."""
+
+    def __init__(self, component):
+        super().__init__(component)
+        self.component = component
+
+
+def combined_loss(fwd_src, fwd_tgt, labels, weights, schedule, evidential_kind,
+                  method, aux_weights):
+    """Assemble total = l1 * L_cls + l2 * L_d + l3 * (L_evi / N).
+
+    Classification and evidential terms use the source only; the domain
+    term compares mixed features of the two domains.  Returns the scalar
+    tape node and the unweighted component breakdown.
+    """
+    try:
+        loss = aux_classification_loss(
+            fwd_src.final_logits, fwd_src.aux_logits, labels, aux_weights)
+    except DomainError as exc:
+        raise _ComponentFailure("cls") from exc
+    cls_value = float(loss.data)
+    total = weights.lambda1 * loss
+
+    domain_value = 0.0
+    if method == "noadapt":
+        if weights.lambda2 != 0.0:
+            warnings.warn("method 'noadapt' ignores lambda2; domain loss forced "
+                          "to 0", stacklevel=2)
+    elif weights.lambda2 != 0.0:
+        if fwd_tgt is None:
+            raise ConfigError(f"method {method!r} needs a target batch")
+        try:
+            domain = alignment.alignment_loss(method, fwd_src.mixed,
+                                              fwd_tgt.mixed)
+        except DomainError as exc:
+            raise _ComponentFailure("domain") from exc
+        domain_value = float(domain.data)
+        total = total + weights.lambda2 * domain
+
+    evidential_value = 0.0
+    if weights.lambda3 != 0.0 and evidential_kind != "none":
+        n = fwd_src.evidence.shape[0]
+        try:
+            evi = evidential_total(
+                evidence_to_alpha(fwd_src.evidence), labels, schedule,
+                evidential_kind) * (1.0 / n)
+        except DomainError as exc:
+            raise _ComponentFailure("evidential") from exc
+        evidential_value = float(evi.data)
+        total = total + weights.lambda3 * evi
+
+    breakdown = LossBreakdown(
+        cls=cls_value, domain=domain_value, evidential=evidential_value,
+        total=weights.lambda1 * cls_value + weights.lambda2 * domain_value
+        + weights.lambda3 * evidential_value)
+    return total, breakdown
+
+
+class _AdamState:
+    def __init__(self, params, config):
+        self.names = params.trainable_names()
+        self.m = {n: np.zeros_like(params.arrays[n]) for n in self.names}
+        self.v = {n: np.zeros_like(params.arrays[n]) for n in self.names}
+        self.config = config
+        self.step_count = 0
+
+    def apply(self, params, grads):
+        self.step_count += 1
+        cfg = self.config
+        bias1 = 1.0 - cfg.beta1 ** self.step_count
+        bias2 = 1.0 - cfg.beta2 ** self.step_count
+        for name in self.names:
+            grad = grads.get(name)
+            if grad is None:
+                continue
+            if cfg.weight_decay:
+                grad = grad + cfg.weight_decay * params.arrays[name]
+            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * grad
+            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * grad * grad
+            m_hat = self.m[name] / bias1
+            v_hat = self.v[name] / bias2
+            params.arrays[name] = params.arrays[name] - cfg.learning_rate * m_hat \
+                / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+def _batch_starts(total, batch_size):
+    starts = list(range(0, total, batch_size))
+    # a trailing singleton cannot feed covariance statistics; fold it away
+    if starts and total - starts[-1] < 2 and len(starts) > 1:
+        starts.pop()
+    return starts
+
+
+class _CyclingSampler:
+    """Cycles a seeded permutation stream over a dataset's indices."""
+
+    def __init__(self, count, rng):
+        self.count = count
+        self.rng = rng
+        self.pool = []
+
+    def take(self, size):
+        out = []
+        while len(out) < size:
+            if not self.pool:
+                self.pool = list(self.rng.permutation(self.count))
+            out.append(self.pool.pop())
+        return np.asarray(out)
+
+
+def _component_check(breakdown, epoch, step):
+    for component in ("cls", "domain", "evidential"):
+        if not np.isfinite(getattr(breakdown, component)):
+            raise NumericalAbort(component, epoch, step)
+
+
+def train(model_config, train_config, source, target, source_val=None):
+    """Train on labeled source plus (optionally) unlabeled target.
+
+    Target labels, if present in the batch, are ignored.  `source_val`
+    (default: the training source) provides the per-epoch validation F1.
+    Returns the final parameters and the full log.
+    """
+    if not source.labeled:
+        raise ConfigError("the source batch must carry labels")
+    if train_config.method != "noadapt" and target is None:
+        raise ConfigError(f"method {train_config.method!r} needs target data")
+    if source.num_classes != model_config.num_classes:
+        raise ConfigError("source num_classes does not match the model")
+
+    params = mo.init(model_config)
+    evidential_active = (train_config.evidential != "none"
+                         and train_config.weights.lambda3 > 0.0)
+    params.train_meta = {
+        "primary_head": "evidential" if evidential_active else "softmax",
+        **train_config.to_dict(),
+    }
+    seeds = np.random.SeedSequence([int(train_config.seed), 0x7EA1]).spawn(3)
+    shuffle_rng = np.random.default_rng(seeds[0])
+    target_rng = np.random.default_rng(seeds[1])
+    pool_rng = np.random.default_rng(seeds[2])
+
+    optimizer = _AdamState(params, train_config)
+    aux_weights = default_aux_weights(model_config.num_scales)
+    needs_target = train_config.method != "noadapt" \
+        and train_config.weights.lambda2 != 0.0
+    target_sampler = _CyclingSampler(len(target), target_rng) \
+        if needs_target else None
+    validation = source_val if source_val is not None else source
+
+    records = []
+    for epoch in range(train_config.epochs):
+        started = time.perf_counter()
+        schedule = AnnealSchedule(epoch=epoch, horizon=train_config.anneal_horizon)
+        order = shuffle_rng.permutation(len(source))
+        sums = np.zeros(3)
+        steps = 0
+        for step, start in enumerate(_batch_starts(len(source),
+                                                   train_config.batch_size)):
+            take = order[start:start + train_config.batch_size]
+            xb = source.values[take]
+            yb = LabelBatch.from_labels(source.labels[take],
+                                        model_config.num_classes)
+            tensors = mo.make_param_tensors(params, trainable=True)
+            fwd_src = mo.forward(params, xb, mode="train", rng=pool_rng,
+                                 param_tensors=tensors)
+            fwd_tgt = None
+            if needs_target:
+                tb = target.values[target_sampler.take(len(take))]
+                fwd_tgt = mo.forward(params, tb, mode="train", rng=pool_rng,
+                                     param_tensors=tensors)
+            try:
+                total, breakdown = combined_loss(
+                    fwd_src, fwd_tgt, yb, train_config.weights, schedule,
+                    train_config.evidential, train_config.method, aux_weights)
+            except _ComponentFailure as exc:
+                raise NumericalAbort(exc.component, epoch, step) from exc
+            _component_check(breakdown, epoch, step)
+            backward(total)
+            grads = {name: tensors[name].grad for name in optimizer.names}
+            optimizer.apply(params, grads)
+            sums += (breakdown.cls, breakdown.domain, breakdown.evidential)
+            steps += 1
+
+        mean = sums / max(steps, 1)
+        w = train_config.weights
+        losses = LossBreakdown(
+            cls=float(mean[0]), domain=float(mean[1]),
+            evidential=float(mean[2]),
+            total=float(w.lambda1 * mean[0] + w.lambda2 * mean[1]
+                        + w.lambda3 * mean[2]))
+        pred, _, _ = mo.predict(params, validation.values)
+        f1 = metrics.macro_f1(pred, validation.labels, model_config.num_classes)
+        records.append(EpochRecord(
+            epoch=epoch, losses=losses, source_val_f1=f1,
+            wall_clock=time.perf_counter() - started))
+
+    log = TrainLog(records=records, seed=train_config.seed,
+                   config={**params.train_meta,
+                           "model_seed": model_config.seed,
+                           "variant": model_config.variant,
+                           "num_scales": model_config.num_scales})
+    return params, log
+
+
+def select_lambda3(grid, model_config, train_config, source, target,
+                   target_val):
+    """Grid-search lambda3 by target risk on a labeled validation subset.
+
+    Trains one model per grid value; a run that aborts numerically is
+    marked failed and skipped.  Ties prefer the smaller lambda3.  Returns
+    (best, rows) with one (lambda3, f1, status) row per grid point.
+    """
+    grid = list(grid)
+    if not grid:
+        raise ConfigError("lambda3 grid must not be empty")
+    if not target_val.labeled:
+        raise ConfigError("lambda3 selection needs a labeled target subset")
+    rows = []
+    best = None
+    for value in grid:
+        cfg = replace(train_config,
+                      weights=replace(train_config.weights, lambda3=value))
+        try:
+            params, _ = train(model_config, cfg, source, target)
+        except NumericalAbort as exc:
+            rows.append({"lambda3": value, "target_f1": None,
+                         "status": f"failed: {exc.component}"})
+            continue
+        pred, _, _ = mo.predict(params, target_val.values)
+        f1 = metrics.macro_f1(pred, target_val.labels,
+                              model_config.num_classes)
+        rows.append({"lambda3": value, "target_f1": f1, "status": "ok"})
+        if best is None or f1 > best[1] or (f1 == best[1] and value < best[0]):
+            best = (value, f1)
+    if best is None:
+        raise ConfigError("every lambda3 candidate failed to train")
+    return best[0], rows
