@@ -26,13 +26,14 @@ from .trainer import LossWeights, combined_loss
 
 LOSS_TOLERANCE = 1e-4
 END_TO_END_TOLERANCE = 1e-3
+DEFAULT_POINTS = 100  # random points per finite-difference suite
 
 SUITES = ("ml", "ce", "mse", "kl", "alignment", "end2end")
 
 _EVIDENTIAL = {"ml": loss_ml, "ce": loss_ce, "mse": loss_mse}
 
 
-def evidential_suite(kind, points=100, seed=0):
+def evidential_suite(kind, points=DEFAULT_POINTS, seed=0):
     """Gradients of one Bayesian-risk loss w.r.t. evidence."""
     kind_tag = {"ml": 1, "ce": 2, "mse": 3}[kind]
     rng = np.random.default_rng(np.random.SeedSequence([seed, kind_tag]))
@@ -48,7 +49,7 @@ def evidential_suite(kind, points=100, seed=0):
     return worst
 
 
-def kl_suite(points=100, seed=0):
+def kl_suite(points=DEFAULT_POINTS, seed=0):
     """Gradients of the misleading-evidence KL at alpha~ > 1."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B1]))
     worst = 0.0
@@ -60,7 +61,7 @@ def kl_suite(points=100, seed=0):
     return worst
 
 
-def alignment_suite(points=100, seed=0):
+def alignment_suite(points=DEFAULT_POINTS, seed=0):
     """Gradients of all four alignment losses w.r.t. both feature batches."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA119]))
     losses = {
@@ -129,7 +130,7 @@ def end_to_end_suite(seed=0, step=1e-5):
     return worst
 
 
-def run_suite(name, points=100, seed=0):
+def run_suite(name, points=DEFAULT_POINTS, seed=0):
     """Returns (worst error, tolerance) for one named suite."""
     if name in _EVIDENTIAL:
         return evidential_suite(name, points=points, seed=seed), LOSS_TOLERANCE

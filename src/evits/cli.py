@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,12 +30,93 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _default_outdir():
-    return os.environ.get(OUTPUT_DIR_ENV, ".")
+def _tuple_of(convert):
+    """Parser for comma-separated values, each read by `convert`."""
+    return lambda text: tuple(convert(tok) for tok in text.split(",")
+                              if tok.strip())
+
+
+_SHIFT_FIELDS = {"amp": "amp_scale", "freq": "freq_offset", "noise": "extra_noise"}
+
+
+def _parse_shift(text):
+    """`amp=..,freq=..,noise=..` as the SynthSpec fields it sets."""
+    fields = {}
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "=" not in chunk:
+            raise ConfigError(f"bad --shift entry {chunk!r}; use key=value")
+        key, value = chunk.split("=", 1)
+        key = key.strip()
+        if key not in _SHIFT_FIELDS:
+            raise ConfigError(f"unknown shift field {key!r}")
+        fields[_SHIFT_FIELDS[key]] = float(value)
+    return fields
+
+
+class Param(NamedTuple):
+    """One run parameter: a `--key` flag and a `key = value` config line."""
+
+    key: str
+    parse: Callable  # flag or config text -> value
+    default: object  # None: the command works it out from other values
+    commands: tuple
+    choices: tuple | None = None
+    help: str | None = None
+
+
+_ALL = ("gen-data", "train", "eval", "discrepancy", "gradcheck",
+        "select-lambda3")
+_GEN = ("gen-data",)
+_TRAIN = ("train", "select-lambda3")
+
+PARAMS = (
+    Param("seed", int, tr.TrainConfig.seed, _ALL),
+    Param("out_dir", str, None, _ALL),  # None: $EVITS_OUTDIR, else "."
+    Param("classes", int, da.SynthSpec.num_classes, _GEN),
+    Param("channels", int, da.SynthSpec.channels, _GEN),
+    Param("length", int, da.SynthSpec.length, _GEN),
+    Param("n_per_class", int, da.SynthSpec.n_per_class, _GEN),
+    Param("noise", float, da.SynthSpec.noise_sigma, _GEN),
+    Param("shift", _parse_shift, {}, _GEN, help="amp=..,freq=..,noise=.."),
+    Param("class_freqs", _tuple_of(float), (), _GEN),
+    Param("class_amps", _tuple_of(float), (), _GEN),
+    Param("method", str, tr.TrainConfig.method, _TRAIN, alignment.METHODS),
+    Param("evidential", str, tr.TrainConfig.evidential, _TRAIN,
+          tr.EVIDENTIAL_KINDS),
+    Param("multiscale", str, "none", _TRAIN, ("none",) + ms.VARIANTS),
+    Param("scales", int, mo.ModelConfig.num_scales, _TRAIN),
+    Param("widths", _tuple_of(int), mo.ModelConfig.conv_widths, _TRAIN),
+    Param("kernels", _tuple_of(int), mo.ModelConfig.kernel_sizes, _TRAIN),
+    Param("epochs", int, tr.TrainConfig.epochs, _TRAIN),
+    Param("batch_size", int, tr.TrainConfig.batch_size, _TRAIN),
+    Param("learning_rate", float, tr.TrainConfig.learning_rate, _TRAIN),
+    Param("weight_decay", float, tr.TrainConfig.weight_decay, _TRAIN),
+    # None: trainer.default_weights for the resolved method and head
+    Param("lambda1", float, None, _TRAIN),
+    Param("lambda2", float, None, _TRAIN),
+    Param("lambda3", float, None, _TRAIN),
+    Param("anneal_horizon", int, tr.TrainConfig.anneal_horizon, _TRAIN),
+    Param("grid", _tuple_of(float), tr.DEFAULT_LAMBDA3_GRID,
+          ("select-lambda3",)),
+    Param("bins", int, me.DEFAULT_ECE_BINS, ("eval",)),
+    Param("n_proj", int, alignment.DEFAULT_NUM_PROJECTIONS, ("discrepancy",)),
+    Param("points", int, checks.DEFAULT_POINTS, ("gradcheck",)),
+    Param("suite", str, "all", ("gradcheck",), ("all",) + checks.SUITES),
+)
+
+_KEYS = {param.key for param in PARAMS}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def _read_config_file(path):
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines; '#' starts a comment.  Maps each key to its
+    text and to where it stands, for error messages."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -44,30 +126,61 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _KEYS:
+                raise ConfigError(f"{path}:{line_no}: no command takes {key!r}")
+            values[key] = (value.strip(), f"{path}:{line_no}: {key}")
     return values
 
 
-class _Resolver:
-    """Flag value if given, else config-file value, else the default."""
+def _convert(param, text, where):
+    try:
+        value = param.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: cannot use {text!r} ({exc})") from exc
+    if param.choices and value not in param.choices:
+        raise ConfigError(f"{where}: {text!r} is not one of {param.choices}")
+    return value
+
+
+class _Run:
+    """The run parameters of `args.command`: the flag if given, else the
+    config-file line, else the default.
+
+    Every parameter the command reads lands in `echo`, which its reports
+    carry; the destination directory stays out of it.
+    """
 
     def __init__(self, args):
-        self.args = args
-        self.file_values = (_read_config_file(args.config)
-                            if getattr(args, "config", None) else {})
+        lines = _read_config_file(args.config) if args.config else {}
+        self.values = {}
+        for param in PARAMS:
+            if args.command not in param.commands:
+                continue
+            flag = getattr(args, param.key)
+            if flag is not None:
+                value = _convert(param, flag, _flag(param.key))
+            elif param.key in lines:
+                value = _convert(param, *lines[param.key])
+            else:
+                value = param.default
+            self.values[param.key] = value
         self.echo = {}
 
-    def get(self, key, default, convert=str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            value = flag
-        elif key in self.file_values:
-            value = convert(self.file_values[key])
-        else:
+    def get(self, key, default=None):
+        """The resolved value, or `default` where the table leaves it None."""
+        value = self.values[key]
+        if value is None:
             value = default
-        if key != "out_dir":  # destination paths stay out of report echoes
+        if key != "out_dir":
             self.echo[key] = value
         return value
+
+
+def _out_dir(run):
+    path = run.get("out_dir", os.environ.get(OUTPUT_DIR_ENV, "."))
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 def _echo_lines(echo):
@@ -82,59 +195,19 @@ def _write_report(path, echo, body_lines):
         fh.write("\n".join(_echo_lines(echo) + body_lines) + "\n")
 
 
-def _parse_int_tuple(text):
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-
-
-def _parse_float_list(text):
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _parse_shift(text):
-    fields = {"amp": 1.0, "freq": 0.0, "noise": 0.0}
-    if text:
-        for chunk in str(text).split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "=" not in chunk:
-                raise ConfigError(f"bad --shift entry {chunk!r}; use key=value")
-            key, value = chunk.split("=", 1)
-            key = key.strip()
-            if key not in fields:
-                raise ConfigError(f"unknown shift field {key!r}")
-            fields[key] = float(value)
-    return fields
-
-
 # -- gen-data ----------------------------------------------------------------
 
 
 def cmd_gen_data(args):
-    resolver = _Resolver(args)
-    classes = resolver.get("classes", 4, int)
-    channels = resolver.get("channels", 2, int)
-    length = resolver.get("length", 128, int)
-    n_per_class = resolver.get("n_per_class", 50, int)
-    noise = resolver.get("noise", 0.3, float)
-    seed = resolver.get("seed", 0, int)
-    shift = _parse_shift(resolver.get("shift", "", str))
-    resolver.echo["shift"] = f"amp={shift['amp']},freq={shift['freq']},noise={shift['noise']}"
-    freqs = resolver.get("class_freqs", "", str)
-    amps = resolver.get("class_amps", "", str)
-    out_dir = resolver.get("out_dir", _default_outdir(), str)
-
-    spec_kwargs = dict(num_classes=classes, channels=channels, length=length,
-                       n_per_class=n_per_class, noise_sigma=noise, seed=seed,
-                       amp_scale=shift["amp"], freq_offset=shift["freq"],
-                       extra_noise=shift["noise"])
-    if freqs:
-        spec_kwargs["class_freqs"] = _parse_float_list(freqs)
-    if amps:
-        spec_kwargs["class_amps"] = _parse_float_list(amps)
-    spec = da.SynthSpec(**spec_kwargs)
-
-    os.makedirs(out_dir, exist_ok=True)
+    run = _Run(args)
+    classes = run.get("classes")
+    spec = da.SynthSpec(
+        num_classes=classes, channels=run.get("channels"),
+        length=run.get("length"), n_per_class=run.get("n_per_class"),
+        noise_sigma=run.get("noise"), seed=run.get("seed"),
+        class_freqs=run.get("class_freqs"), class_amps=run.get("class_amps"),
+        **run.get("shift"))
+    out_dir = _out_dir(run)
     for domain in ("source", "target"):
         batch = da.synth_generate(spec, domain)
         path = os.path.join(out_dir, f"{domain}.evts")
@@ -148,67 +221,48 @@ def cmd_gen_data(args):
 # -- train ---------------------------------------------------------------------
 
 
-def _model_config_from(resolver, source):
-    n, c, t = source.values.shape
-    variant = resolver.get("multiscale", "none", str)
-    if variant == "none":
-        num_scales, variant_tag = 0, None
-    else:
-        if variant not in ms.VARIANTS:
-            raise ConfigError(f"--multiscale must be none or one of {ms.VARIANTS}")
-        num_scales = resolver.get("scales", 2, int)
-        variant_tag = variant
-    widths = _parse_int_tuple(resolver.get("widths", "64,64,64", str))
-    kernels = _parse_int_tuple(resolver.get("kernels", "8,5,3", str))
-    seed = resolver.get("seed", 0, int)
+def _model_config_from(run, source):
+    _, c, t = source.values.shape
+    variant = run.get("multiscale")
+    multiscale = variant != "none"
     return mo.ModelConfig(
         channels=c, length=t, num_classes=source.num_classes,
-        num_scales=num_scales, variant=variant_tag, conv_widths=widths,
-        kernel_sizes=kernels, seed=seed)
+        num_scales=run.get("scales") if multiscale else 0,
+        variant=variant if multiscale else None,
+        conv_widths=run.get("widths"), kernel_sizes=run.get("kernels"),
+        seed=run.get("seed"))
 
 
-def _train_config_from(resolver):
-    method = resolver.get("method", "noadapt", str)
-    if method not in alignment.METHODS:
-        raise ConfigError(f"--method must be one of {alignment.METHODS}")
-    evidential = resolver.get("evidential", "ce", str)
-    if evidential not in tr.EVIDENTIAL_KINDS:
-        raise ConfigError(
-            f"--evidential must be one of {tr.EVIDENTIAL_KINDS}")
-    lambda1 = resolver.get("lambda1", 1.0, float)
-    lambda2 = resolver.get("lambda2", tr.METHOD_LAMBDA2[method], float)
-    lambda3 = resolver.get("lambda3", 0.0 if evidential == "none" else 1.0,
-                           float)
-    if evidential == "none":
-        lambda3 = 0.0
-    weights = tr.LossWeights(lambda1=lambda1, lambda2=lambda2, lambda3=lambda3)
+def _train_config_from(run):
+    method, evidential = run.get("method"), run.get("evidential")
+    defaults = tr.default_weights(method, evidential)
+    lambda3 = run.get("lambda3", defaults.lambda3)
+    weights = tr.LossWeights(
+        lambda1=run.get("lambda1", defaults.lambda1),
+        lambda2=run.get("lambda2", defaults.lambda2),
+        lambda3=0.0 if evidential == "none" else lambda3)
     return tr.TrainConfig(
-        epochs=resolver.get("epochs", 40, int),
-        batch_size=resolver.get("batch_size", 32, int),
-        learning_rate=resolver.get("learning_rate", 1e-3, float),
-        weight_decay=resolver.get("weight_decay", 0.0, float),
-        evidential=evidential,
-        method=method,
-        weights=weights,
-        anneal_horizon=resolver.get("anneal_horizon", 10, int),
-        seed=resolver.get("seed", 0, int))
+        epochs=run.get("epochs"), batch_size=run.get("batch_size"),
+        learning_rate=run.get("learning_rate"),
+        weight_decay=run.get("weight_decay"), evidential=evidential,
+        method=method, weights=weights,
+        anneal_horizon=run.get("anneal_horizon"), seed=run.get("seed"))
 
 
 def cmd_train(args):
-    resolver = _Resolver(args)
+    run = _Run(args)
     source = da.read_evts(args.source)
     if not source.labeled:
         raise ConfigError("the source file carries no labels")
     target = da.read_evts(args.target) if args.target else None
-    model_config = _model_config_from(resolver, source)
-    train_config = _train_config_from(resolver)
+    model_config = _model_config_from(run, source)
+    train_config = _train_config_from(run)
     if train_config.method != "noadapt" and target is None:
         raise ConfigError(f"method {train_config.method!r} needs --target")
 
     params, log = tr.train(model_config, train_config, source, target)
 
-    out_dir = resolver.get("out_dir", _default_outdir(), str)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(run)
     model_path = args.model_out or os.path.join(out_dir, "model.evtm")
     log_path = args.log_out or os.path.join(out_dir, "train_log.txt")
     mo.save(params, model_path)
@@ -222,14 +276,8 @@ def cmd_train(args):
 # -- eval ----------------------------------------------------------------------
 
 
-def _per_class_uncertainty_spearman(pred_f1, class_uncertainty):
-    if len(pred_f1) < 3:
-        return None
-    return me.spearman(pred_f1, class_uncertainty)
-
-
 def cmd_eval(args):
-    resolver = _Resolver(args)
+    run = _Run(args)
     params = mo.load(args.model)
     batch = da.read_evts(args.data)
     if not batch.labeled:
@@ -238,16 +286,14 @@ def cmd_eval(args):
     if batch.num_classes != k:
         raise ConfigError(
             f"model expects {k} classes but the file declares {batch.num_classes}")
-    bins = resolver.get("bins", me.DEFAULT_ECE_BINS, int)
-    out_dir = resolver.get("out_dir", _default_outdir(), str)
-    os.makedirs(out_dir, exist_ok=True)
-    resolver.echo.update({"model": args.model, "data": args.data,
-                          "primary_head": params.train_meta.get(
-                              "primary_head", "evidential")})
+    bins = run.get("bins")
+    out_dir = _out_dir(run)
+    primary_head = params.train_meta.get("primary_head", "evidential")
+    run.echo.update({"model": args.model, "data": args.data,
+                     "primary_head": primary_head})
 
     pred_e, probs_e, u = mo.predict(params, batch.values, head="evidential")
     pred_s, probs_s, _ = mo.predict(params, batch.values, head="softmax")
-    primary_head = params.train_meta.get("primary_head", "evidential")
     pred_p, probs_p = ((pred_e, probs_e) if primary_head == "evidential"
                        else (pred_s, probs_s))
 
@@ -267,7 +313,8 @@ def cmd_eval(args):
             per_class_f1.append(me.macro_f1(pred_p[mask] == c,
                                             np.ones(mask.sum(), int), 2))
             per_class_u.append(float(u[mask].mean()))
-    rho = _per_class_uncertainty_spearman(per_class_f1, per_class_u)
+    rho = (me.spearman(per_class_f1, per_class_u) if len(per_class_f1) >= 3
+           else None)
 
     body = [
         f"primary_head={primary_head}",
@@ -281,30 +328,30 @@ def cmd_eval(args):
         f"{'n/a' if rho is None else repr(rho)}",
         f"samples={len(batch)}",
     ]
-    _write_report(os.path.join(out_dir, "report.txt"), resolver.echo, body)
+    _write_report(os.path.join(out_dir, "report.txt"), run.echo, body)
 
     rows = ["truth\\pred," + ",".join(str(c) for c in range(k))]
     for i in range(k):
         rows.append(str(i) + "," + ",".join(str(v) for v in confusion[i]))
-    _write_report(os.path.join(out_dir, "confusion.csv"), resolver.echo, rows)
+    _write_report(os.path.join(out_dir, "confusion.csv"), run.echo, rows)
 
     rows = ["head,bin,count,mean_confidence,accuracy"]
     for head, table in (("evidential", bins_e), ("softmax", bins_s)):
         for b, entry in enumerate(table):
             rows.append(f"{head},{b},{entry.count},{entry.mean_confidence!r},"
                         f"{entry.accuracy!r}")
-    _write_report(os.path.join(out_dir, "reliability.csv"), resolver.echo, rows)
+    _write_report(os.path.join(out_dir, "reliability.csv"), run.echo, rows)
 
     rows = ["bin,mass"]
     rows += [f"{b},{float(mass)!r}" for b, mass in enumerate(u_stats.histogram)]
     _write_report(os.path.join(out_dir, "uncertainty_hist.csv"),
-                  resolver.echo, rows)
+                  run.echo, rows)
 
     confidence = probs_p.max(axis=1)
     rows = ["prediction,confidence,uncertainty"]
     rows += [f"{int(pred_p[i])},{float(confidence[i])!r},{float(u[i])!r}"
              for i in range(len(batch))]
-    _write_report(os.path.join(out_dir, "per_sample.csv"), resolver.echo, rows)
+    _write_report(os.path.join(out_dir, "per_sample.csv"), run.echo, rows)
 
     print(f"macro_f1={me.macro_f1(pred_p, truth, k)!r} "
           f"ece_evidential={ece_e!r} ece_softmax={ece_s!r}")
@@ -316,16 +363,15 @@ def cmd_eval(args):
 
 
 def cmd_discrepancy(args):
-    resolver = _Resolver(args)
+    run = _Run(args)
     params = mo.load(args.model)
     source = da.read_evts(args.source)
     target = da.read_evts(args.target)
-    seed = resolver.get("seed", 0, int)
-    n_proj = resolver.get("n_proj", alignment.DEFAULT_NUM_PROJECTIONS, int)
-    out_dir = resolver.get("out_dir", _default_outdir(), str)
-    os.makedirs(out_dir, exist_ok=True)
-    resolver.echo.update({"model": args.model, "source": args.source,
-                          "target": args.target})
+    seed = run.get("seed")
+    n_proj = run.get("n_proj")
+    out_dir = _out_dir(run)
+    run.echo.update({"model": args.model, "source": args.source,
+                     "target": args.target})
 
     feats_src = mo.forward(params, source.values, mode="eval").mixed.data
     feats_tgt = mo.forward(params, target.values, mode="eval").mixed.data
@@ -342,7 +388,7 @@ def cmd_discrepancy(args):
         f"n_projections={n_proj}",
     ]
     _write_report(os.path.join(out_dir, "discrepancy.txt"),
-                  resolver.echo, body)
+                  run.echo, body)
     print(f"mmd_rbf={mmd_value!r} sliced_wd={wd_value!r}")
     return EXIT_OK
 
@@ -351,10 +397,8 @@ def cmd_discrepancy(args):
 
 
 def cmd_gradcheck(args):
-    resolver = _Resolver(args)
-    seed = resolver.get("seed", 0, int)
-    points = resolver.get("points", 100, int)
-    suite = resolver.get("suite", "all", str)
+    run = _Run(args)
+    seed, points, suite = run.get("seed"), run.get("points"), run.get("suite")
     names = checks.SUITES if suite == "all" else (suite,)
     failed = False
     for name in names:
@@ -370,7 +414,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_select_lambda3(args):
-    resolver = _Resolver(args)
+    run = _Run(args)
     source = da.read_evts(args.source)
     if not source.labeled:
         raise ConfigError("the source file carries no labels")
@@ -378,11 +422,10 @@ def cmd_select_lambda3(args):
     target_val = da.read_evts(args.target_val) if args.target_val else target
     if not target_val.labeled:
         raise ConfigError("lambda3 selection needs a labeled target subset")
-    grid = _parse_float_list(resolver.get("grid", "0.01,0.1,0.5,1.0", str))
-    model_config = _model_config_from(resolver, source)
-    train_config = _train_config_from(resolver)
-    out_dir = resolver.get("out_dir", _default_outdir(), str)
-    os.makedirs(out_dir, exist_ok=True)
+    grid = run.get("grid")
+    model_config = _model_config_from(run, source)
+    train_config = _train_config_from(run)
+    out_dir = _out_dir(run)
 
     best, rows = tr.select_lambda3(grid, model_config, train_config, source,
                                    target, target_val)
@@ -391,7 +434,7 @@ def cmd_select_lambda3(args):
         f1 = "" if row["target_f1"] is None else repr(row["target_f1"])
         lines.append(f"{row['lambda3']!r},{f1},{row['status']}")
     _write_report(os.path.join(out_dir, "lambda3_risk.csv"),
-                  resolver.echo, lines)
+                  run.echo, lines)
     print(f"best lambda3={best!r}")
     return EXIT_OK
 
@@ -399,27 +442,21 @@ def cmd_select_lambda3(args):
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file; flags win")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out-dir", dest="out_dir")
-
-
-def _add_train_flags(sub):
-    sub.add_argument("--method", choices=alignment.METHODS)
-    sub.add_argument("--evidential", choices=tr.EVIDENTIAL_KINDS)
-    sub.add_argument("--multiscale", choices=("none",) + ms.VARIANTS)
-    sub.add_argument("--scales", type=int)
-    sub.add_argument("--widths")
-    sub.add_argument("--kernels")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--weight-decay", dest="weight_decay", type=float)
-    sub.add_argument("--lambda1", type=float)
-    sub.add_argument("--lambda2", type=float)
-    sub.add_argument("--lambda3", type=float)
-    sub.add_argument("--anneal-horizon", dest="anneal_horizon", type=int)
+# name -> (help, handler, required paths, optional paths); paths are flags
+# only, never config keys
+_COMMANDS = {
+    "gen-data": ("write synthetic EVTS files", cmd_gen_data, (), ()),
+    "train": ("train a model", cmd_train,
+              ("source",), ("target", "model_out", "log_out")),
+    "eval": ("evaluate a model on labeled data", cmd_eval,
+             ("model", "data"), ()),
+    "discrepancy": ("feature-space MMD and sliced WD", cmd_discrepancy,
+                    ("model", "source", "target"), ()),
+    "gradcheck": ("finite-difference gradient suites", cmd_gradcheck, (), ()),
+    "select-lambda3": ("grid-search lambda3 by target risk",
+                       cmd_select_lambda3, ("source", "target"),
+                       ("target_val",)),
+}
 
 
 def build_parser():
@@ -428,60 +465,17 @@ def build_parser():
         description="Uncertainty-aware domain adaptation for time series")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    gen = commands.add_parser("gen-data", help="write synthetic EVTS files")
-    _add_common(gen)
-    gen.add_argument("--classes", type=int)
-    gen.add_argument("--channels", type=int)
-    gen.add_argument("--length", type=int)
-    gen.add_argument("--n-per-class", dest="n_per_class", type=int)
-    gen.add_argument("--noise", type=float)
-    gen.add_argument("--shift", help="amp=..,freq=..,noise=..")
-    gen.add_argument("--class-freqs", dest="class_freqs")
-    gen.add_argument("--class-amps", dest="class_amps")
-    gen.set_defaults(handler=cmd_gen_data)
-
-    train = commands.add_parser("train", help="train a model")
-    _add_common(train)
-    _add_train_flags(train)
-    train.add_argument("--source", required=True)
-    train.add_argument("--target")
-    train.add_argument("--model-out", dest="model_out")
-    train.add_argument("--log-out", dest="log_out")
-    train.set_defaults(handler=cmd_train)
-
-    ev = commands.add_parser("eval", help="evaluate a model on labeled data")
-    _add_common(ev)
-    ev.add_argument("--model", required=True)
-    ev.add_argument("--data", required=True)
-    ev.add_argument("--bins", type=int)
-    ev.set_defaults(handler=cmd_eval)
-
-    disc = commands.add_parser("discrepancy",
-                               help="feature-space MMD and sliced WD")
-    _add_common(disc)
-    disc.add_argument("--model", required=True)
-    disc.add_argument("--source", required=True)
-    disc.add_argument("--target", required=True)
-    disc.add_argument("--n-proj", dest="n_proj", type=int)
-    disc.set_defaults(handler=cmd_discrepancy)
-
-    grad = commands.add_parser("gradcheck",
-                               help="finite-difference gradient suites")
-    _add_common(grad)
-    grad.add_argument("--suite", choices=("all",) + checks.SUITES)
-    grad.add_argument("--points", type=int)
-    grad.set_defaults(handler=cmd_gradcheck)
-
-    sel = commands.add_parser("select-lambda3",
-                              help="grid-search lambda3 by target risk")
-    _add_common(sel)
-    _add_train_flags(sel)
-    sel.add_argument("--source", required=True)
-    sel.add_argument("--target", required=True)
-    sel.add_argument("--target-val", dest="target_val")
-    sel.add_argument("--grid")
-    sel.set_defaults(handler=cmd_select_lambda3)
+    subs = {}
+    for name, (help_text, handler, required, optional) in _COMMANDS.items():
+        sub = subs[name] = commands.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        sub.add_argument("--config", help="key=value config file; flags win")
+        for key in required + optional:
+            sub.add_argument(_flag(key), required=key in required)
+    for param in PARAMS:
+        for name in param.commands:
+            subs[name].add_argument(_flag(param.key), choices=param.choices,
+                                    help=param.help)
     return parser
 
 
@@ -493,10 +487,7 @@ def main(argv=None):
     except NumericalAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ToolkitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

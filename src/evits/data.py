@@ -7,6 +7,9 @@ container is bit-exact on round trip:
     magic "EVTS" | u32 version | u32 N | u32 C | u32 T | u32 K
     | u8 label flag | float32-LE values (row-major) | [int32-LE labels]
     | u32 CRC32 of everything before it
+
+The magic/version/CRC32 frame and its u32 fields are shared with the
+EVTM model container.
 """
 
 from __future__ import annotations
@@ -59,49 +62,72 @@ class TimeSeriesBatch:
                                num_classes=self.num_classes)
 
 
-def _pack_u32(value):
+def pack_u32(value):
     return int(value).to_bytes(4, "little")
+
+
+def write_framed(path, magic, version, chunks):
+    """Write magic | u32 version | chunks | u32 CRC32 of everything before."""
+    payload = b"".join([magic, pack_u32(version), *chunks])
+    with open(path, "wb") as fh:
+        fh.write(payload)
+        fh.write(pack_u32(zlib.crc32(payload)))
+
+
+class FrameReader:
+    """Reads a `write_framed` file back field by field, once its CRC32,
+    magic and version check out; every fault is a FormatError at an offset."""
+
+    def __init__(self, path, magic, version):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if len(data) < 4:
+            raise FormatError("file too short for a checksum", offset=len(data))
+        self.data, self.offset = data[:-4], 0
+        if zlib.crc32(self.data) != int.from_bytes(data[-4:], "little"):
+            raise FormatError("checksum mismatch", offset=len(self.data))
+        name = magic.decode()
+        if self.take(4, "magic") != magic:
+            raise FormatError(f"bad magic; not an {name} file", offset=0)
+        found = self.u32("version")
+        if found != version:
+            raise FormatError(f"unsupported {name} version {found}", offset=4)
+
+    def take(self, count, what):
+        if self.offset + count > len(self.data):
+            raise FormatError(f"truncated file while reading {what}",
+                              offset=self.offset)
+        chunk = self.data[self.offset:self.offset + count]
+        self.offset += count
+        return chunk
+
+    def u32(self, what):
+        return int.from_bytes(self.take(4, what), "little")
 
 
 def write_evts(batch, path):
     n, c, t = batch.values.shape
-    chunks = [EVTS_MAGIC, _pack_u32(EVTS_VERSION), _pack_u32(n), _pack_u32(c),
-              _pack_u32(t), _pack_u32(batch.num_classes),
+    chunks = [pack_u32(n), pack_u32(c), pack_u32(t),
+              pack_u32(batch.num_classes),
               (b"\x01" if batch.labeled else b"\x00"),
               np.ascontiguousarray(batch.values, dtype="<f4").tobytes()]
     if batch.labeled:
         chunks.append(np.ascontiguousarray(batch.labels, dtype="<i4").tobytes())
-    payload = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(_pack_u32(zlib.crc32(payload)))
+    write_framed(path, EVTS_MAGIC, EVTS_VERSION, chunks)
 
 
 def read_evts(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header_len = 4 + 4 * 5 + 1
-    if len(data) < header_len + 4:
-        raise FormatError("file too short for an EVTS header", offset=len(data))
-    body, stored = data[:-4], int.from_bytes(data[-4:], "little")
-    if zlib.crc32(body) != stored:
-        raise FormatError("checksum mismatch", offset=len(data) - 4)
-    if body[:4] != EVTS_MAGIC:
-        raise FormatError("bad magic; not an EVTS file", offset=0)
-    version = int.from_bytes(body[4:8], "little")
-    if version != EVTS_VERSION:
-        raise FormatError(f"unsupported EVTS version {version}", offset=4)
-    n, c, t, k = (int.from_bytes(body[8 + 4 * i:12 + 4 * i], "little")
-                  for i in range(4))
-    flag = body[24]
+    r = FrameReader(path, EVTS_MAGIC, EVTS_VERSION)
+    n, c, t, k = (r.u32(what) for what in "NCTK")
+    flag = r.take(1, "label flag")[0]
     if flag not in (0, 1):
         raise FormatError(f"bad label flag {flag}", offset=24)
-    offset = header_len
+    body, offset = r.data, r.offset
     values_bytes = 4 * n * c * t
     expected = offset + values_bytes + (4 * n if flag else 0)
     if len(body) != expected:
         raise FormatError(
-            f"declared {expected + 4} bytes but file holds {len(data)}",
+            f"declared {expected + 4} bytes but file holds {len(body) + 4}",
             offset=min(len(body), expected))
     values = np.frombuffer(body, dtype="<f4", count=n * c * t, offset=offset)
     values = values.reshape(n, c, t).astype(np.float64)

@@ -75,10 +75,6 @@ class DirichletBatch:
             self._total = self.alpha.sum(axis=1)
         return self._total
 
-    @property
-    def uncertainty_values(self):
-        return uncertainty(self).data
-
 
 def evidence_to_alpha(evidence):
     """Map non-negative evidence to Dirichlet parameters alpha = evidence + 1."""

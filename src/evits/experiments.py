@@ -11,9 +11,7 @@ scales all three deviations at once (0 = no shift).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import alignment, data as da, metrics as me, model as mo, trainer as tr
 
@@ -57,16 +55,6 @@ def domain_specs(settings, seed, shift_strength):
         freq_offset=settings.freq_shift * settings.freq_gap * shift_strength,
         extra_noise=settings.extra_noise * settings.noise_sigma * shift_strength)
     return source, target
-
-
-def benchmark_data(settings, seed, shift_strength):
-    """(source train, source test, target train, target test) for one seed."""
-    src_spec, tgt_spec = domain_specs(settings, seed, shift_strength)
-    source = da.synth_generate(src_spec, "source")
-    target = da.synth_generate(tgt_spec, "target")
-    src_train, src_test = da.split(source, settings.train_fraction, seed)
-    tgt_train, tgt_test = da.split(target, settings.train_fraction, seed)
-    return src_train, src_test, tgt_train, tgt_test
 
 
 def benchmark_domains(settings, seed, shift_strength):

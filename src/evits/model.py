@@ -11,13 +11,13 @@ features when the multi-scale architecture is enabled.
 from __future__ import annotations
 
 import json
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import multiscale as ms
 from . import tensor as tz
+from .data import FrameReader, pack_u32, write_framed
 from .errors import ConfigError, FormatError, ShapeError
 from .evidential import evidence_to_alpha, predict_mean, uncertainty
 from .tensor import Tensor
@@ -80,16 +80,7 @@ class ModelConfig:
         return self.feature_width * (self.num_scales + 1)
 
     def to_dict(self):
-        return {
-            "channels": self.channels,
-            "length": self.length,
-            "num_classes": self.num_classes,
-            "num_scales": self.num_scales,
-            "variant": self.variant,
-            "conv_widths": list(self.conv_widths),
-            "kernel_sizes": list(self.kernel_sizes),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -240,7 +231,7 @@ def forward(params, x, mode="train", rng=None, param_tensors=None,
                 params.arrays[f"{prefix}.bn_running_var"],
                 train, update_stats)
             h = h.relu()
-            h = tz.pool1d(h, "max", 2, 2)
+            h = tz.pool1d(h, "max")
         feat = h.mean(axis=2)  # global average pool -> [N, F]
         features.append(feat)
         if config.num_scales >= 1:
@@ -283,66 +274,34 @@ def predict(params, values, head="auto"):
 # -- serialization ---------------------------------------------------------------
 
 
-def _pack_u32(value):
-    return int(value).to_bytes(4, "little")
-
-
 def save(params, path):
     """Write the EVTM container: magic, version, config JSON, float64
     little-endian weights, trailing CRC32."""
     header = {"config": params.config.to_dict(), "train_meta": params.train_meta}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    chunks = [MODEL_MAGIC, _pack_u32(MODEL_VERSION), _pack_u32(len(blob)), blob,
-              _pack_u32(len(params.arrays))]
+    chunks = [pack_u32(len(blob)), blob, pack_u32(len(params.arrays))]
     for name, arr in params.arrays.items():
         encoded = name.encode("utf-8")
-        chunks.append(_pack_u32(len(encoded)))
+        chunks.append(pack_u32(len(encoded)))
         chunks.append(encoded)
-        chunks.append(_pack_u32(arr.ndim))
+        chunks.append(pack_u32(arr.ndim))
         for extent in arr.shape:
-            chunks.append(_pack_u32(extent))
+            chunks.append(pack_u32(extent))
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    payload = b"".join(chunks)
-    checksum = zlib.crc32(payload)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(_pack_u32(checksum))
-
-
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.offset = 0
-
-    def take(self, count, what):
-        if self.offset + count > len(self.data):
-            raise FormatError(f"truncated model file while reading {what}",
-                              offset=self.offset)
-        chunk = self.data[self.offset:self.offset + count]
-        self.offset += count
-        return chunk
-
-    def u32(self, what):
-        return int.from_bytes(self.take(4, what), "little")
+    write_framed(path, MODEL_MAGIC, MODEL_VERSION, chunks)
 
 
 def load(path):
     """Read an EVTM container back; bit-identical round trip."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4:
-        raise FormatError("file too short for a checksum", offset=len(data))
-    body, stored = data[:-4], int.from_bytes(data[-4:], "little")
-    if zlib.crc32(body) != stored:
-        raise FormatError("checksum mismatch", offset=len(data) - 4)
-    r = _Reader(body)
-    if r.take(4, "magic") != MODEL_MAGIC:
-        raise FormatError("bad magic; not a model file", offset=0)
-    version = r.u32("version")
-    if version != MODEL_VERSION:
-        raise FormatError(f"unsupported model version {version}", offset=4)
-    header = json.loads(r.take(r.u32("header length"), "header").decode("utf-8"))
-    config = ModelConfig.from_dict(header["config"])
+    r = FrameReader(path, MODEL_MAGIC, MODEL_VERSION)
+    blob = r.take(r.u32("header length"), "header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        config = ModelConfig.from_dict(header["config"])
+        train_meta = header.get("train_meta", {})
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"model header is not a valid config ({exc})",
+                          offset=r.offset - len(blob)) from exc
     arrays = {}
     for _ in range(r.u32("array count")):
         name = r.take(r.u32("name length"), "name").decode("utf-8")
@@ -351,7 +310,6 @@ def load(path):
         count = int(np.prod(shape)) if shape else 1
         raw = r.take(8 * count, f"data for {name}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if r.offset != len(body):
+    if r.offset != len(r.data):
         raise FormatError("trailing bytes after declared arrays", offset=r.offset)
-    return ModelParams(config=config, arrays=arrays,
-                       train_meta=header.get("train_meta", {}))
+    return ModelParams(config=config, arrays=arrays, train_meta=train_meta)

@@ -108,12 +108,12 @@ def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
             if current.shape[2] > target_len:
                 current = tz.crop1d(current, target_len)
         elif variant in ("M", "LM"):
-            current = tz.pool1d(current, "max", 2, 2)
+            current = tz.pool1d(current, "max")
         elif variant == "A":
-            current = tz.pool1d(current, "avg", 2, 2)
+            current = tz.pool1d(current, "avg")
         else:  # R
             kind = "random" if train else "max"
-            current = tz.pool1d(current, kind, 2, 2, rng=rng)
+            current = tz.pool1d(current, kind, rng=rng)
         scales.append(current)
     return MultiScaleSet(scales=scales)
 

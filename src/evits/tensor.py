@@ -42,14 +42,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        if self.data.size != 1:
-            raise ShapeError("item() needs a single-element tensor")
-        return float(self.data.reshape(()))
-
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r})"
 
@@ -480,10 +472,11 @@ def conv1d(x, kernel, stride=1, padding=0):
 POOL_KINDS = ("max", "avg", "random")
 
 
-def pool1d(x, kind, window, stride, rng=None):
-    """Windowed 1-D pooling over the time axis of [N, C, T].
+def pool1d(x, kind, rng=None):
+    """Window-2, stride-2 pooling over the time axis of [N, C, T]; an odd
+    trailing step is dropped.
 
-    `random` draws one element uniformly per window from `rng` (required
+    `random` takes one element of each pair uniformly from `rng` (required
     for that kind only) and is bit-reproducible for a fixed seed.
     """
     x = as_tensor(x)
@@ -494,50 +487,8 @@ def pool1d(x, kind, window, stride, rng=None):
     if x.data.ndim != 3:
         raise ShapeError("pool1d expects [N, C, T]")
     n, c, t = x.data.shape
-    if window < 1 or stride < 1:
-        raise ConfigError("pool1d needs window >= 1 and stride >= 1")
-    if t < window:
-        raise ShapeError(f"pool window {window} exceeds time extent {t}")
-
-    if window == 2 and stride == 2:
-        return _pool1d_pairwise(x, kind, rng)
-
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, window, axis=2)
-    windows = windows[:, :, ::stride]  # [N, C, T', window]
-    t_out = windows.shape[2]
-    starts = np.arange(t_out) * stride
-
-    if kind == "avg":
-        out_data = windows.mean(axis=3)
-
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            share = g / window
-            for j in range(window):
-                gx[:, :, starts + j] += share
-            _accumulate(x, gx)
-
-    else:
-        if kind == "max":
-            chosen = windows.argmax(axis=3)
-        else:
-            chosen = rng.integers(0, window, size=(n, c, t_out))
-        out_data = np.take_along_axis(windows, chosen[..., None], axis=3)[..., 0]
-        positions = chosen + starts
-
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            rows = np.arange(n)[:, None, None]
-            cols = np.arange(c)[None, :, None]
-            np.add.at(gx, (rows, cols, positions), g)
-            _accumulate(x, gx)
-
-    return _node(np.ascontiguousarray(out_data), (x,), bwd, f"pool_{kind}")
-
-
-def _pool1d_pairwise(x, kind, rng):
-    """Window-2 stride-2 pooling without window views (the common case)."""
-    n, c, t = x.data.shape
+    if t < 2:
+        raise ShapeError(f"pool window 2 exceeds time extent {t}")
     t_out = t // 2
     left = x.data[:, :, 0:2 * t_out:2]
     right = x.data[:, :, 1:2 * t_out:2]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -80,22 +80,8 @@ class TrainConfig:
             raise ConfigError("anneal horizon must be positive")
 
     def to_dict(self):
-        out = {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "weight_decay": self.weight_decay,
-            "evidential": self.evidential,
-            "method": self.method,
-            "lambda1": self.weights.lambda1,
-            "lambda2": self.weights.lambda2,
-            "lambda3": self.weights.lambda3,
-            "anneal_horizon": self.anneal_horizon,
-            "seed": self.seed,
-        }
+        out = asdict(self)
+        out.update(out.pop("weights"))  # lambda1..3 sit beside the other fields
         return out
 
 

@@ -293,6 +293,56 @@ class TestSelectLambda3:
         assert len(rows) == 3
 
 
+class TestConfigFile:
+    def test_value_that_does_not_parse_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 1\npoints = abc\n")
+        assert run_cli("gradcheck", "--suite", "ce", "--config",
+                       str(config)) == 2
+        assert f"{config}:2: points" in capsys.readouterr().err
+
+    def test_key_no_command_takes_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("epochs = 3\n")  # a train key: still allowed
+        argv = ("gradcheck", "--suite", "ce", "--points", "2", "--config",
+                str(config))
+        assert run_cli(*argv) == 0
+        config.write_text("epochs = 3\npoint = 3\n")
+        assert run_cli(*argv) == 2
+        assert f"{config}:2:" in capsys.readouterr().err
+
+
+# one text per run parameter, each different from the parameter's default
+RUN_VALUES = {
+    "seed": "7", "out_dir": "elsewhere", "classes": "3", "channels": "1",
+    "length": "64", "n_per_class": "5", "noise": "0.25",
+    "shift": "amp=0.5,noise=0.1", "class_freqs": "2,4.5",
+    "class_amps": "1,0.5", "method": "coral", "evidential": "mse",
+    "multiscale": "LM", "scales": "1", "widths": "4,5,6", "kernels": "3,3,5",
+    "epochs": "3", "batch_size": "8", "learning_rate": "0.01",
+    "weight_decay": "0.001", "lambda1": "0.5", "lambda2": "0.25",
+    "lambda3": "0.75", "anneal_horizon": "4", "grid": "0.2,0.4", "bins": "5",
+    "n_proj": "9", "points": "3", "suite": "kl",
+}
+
+
+def resolve(command, *argv):
+    paths = [arg for key in cli._COMMANDS[command][2]
+             for arg in (cli._flag(key), "unused")]
+    return cli._Run(cli.build_parser().parse_args([command, *paths, *argv]))
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, param.key) for param in cli.PARAMS for command in param.commands])
+def test_flag_and_config_line_resolve_alike(tmp_path, command, key):
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {RUN_VALUES[key]}\n")
+    by_flag = resolve(command, cli._flag(key), RUN_VALUES[key])
+    by_file = resolve(command, "--config", str(config))
+    assert by_flag.get(key) == by_file.get(key) != resolve(command).get(key)
+    assert cli._echo_lines(by_flag.echo) == cli._echo_lines(by_file.echo)
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     assert run_cli("gen-data", "--seed", "0", "--n-per-class", "3") == 0

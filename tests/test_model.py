@@ -179,6 +179,23 @@ class TestSerialization:
         with pytest.raises(FormatError, match="magic"):
             mo.load(path)
 
+    @pytest.mark.parametrize("header", [
+        b"\xff{not json",
+        b'{"train_meta": {}}',
+        b'{"config": {"channels": 2}}',
+    ])
+    def test_bad_header_under_valid_checksum(self, tmp_path, header):
+        import zlib
+        path = tmp_path / "m.evtm"
+        mo.save(mo.init(tiny_config()), path)
+        raw = path.read_bytes()
+        end = 12 + int.from_bytes(raw[8:12], "little")  # magic, version, length
+        body = raw[:8] + len(header).to_bytes(4, "little") + header + raw[end:-4]
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        with pytest.raises(FormatError, match="header") as failure:
+            mo.load(path)
+        assert failure.value.offset == 12
+
     def test_corrupted_payload(self, tmp_path):
         path = tmp_path / "m.evtm"
         mo.save(mo.init(tiny_config()), path)
