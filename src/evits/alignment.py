@@ -101,14 +101,14 @@ def mmda(src, tgt):
     return mmd_linear(src, tgt) + coral(src, tgt)
 
 
-def alignment_loss(method, src, tgt, homm_order=3):
+def alignment_loss(method, src, tgt):
     """Dispatch a training alignment loss by its method tag."""
     if method == "ddc":
         return mmd_linear(src, tgt)
     if method == "coral":
         return coral(src, tgt)
     if method == "homm":
-        return homm(src, tgt, order=homm_order)
+        return homm(src, tgt)
     if method == "mmda":
         return mmda(src, tgt)
     raise ConfigError(f"no alignment loss for method {method!r}")

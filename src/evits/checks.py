@@ -12,16 +12,14 @@ import numpy as np
 from . import alignment, model as mo
 from .errors import ConfigError
 from .evidential import (
+    LOSSES,
     AnnealSchedule,
     LabelBatch,
     evidence_to_alpha,
     kl_to_uniform,
-    loss_ce,
-    loss_ml,
-    loss_mse,
 )
 from .multiscale import default_aux_weights
-from .tensor import Tensor, backward, grad_check
+from .tensor import Tensor, backward, central_difference_error, grad_check
 from .trainer import LossWeights, combined_loss
 
 LOSS_TOLERANCE = 1e-4
@@ -30,14 +28,12 @@ DEFAULT_POINTS = 100  # random points per finite-difference suite
 
 SUITES = ("ml", "ce", "mse", "kl", "alignment", "end2end")
 
-_EVIDENTIAL = {"ml": loss_ml, "ce": loss_ce, "mse": loss_mse}
-
 
 def evidential_suite(kind, points=DEFAULT_POINTS, seed=0):
     """Gradients of one Bayesian-risk loss w.r.t. evidence."""
     kind_tag = {"ml": 1, "ce": 2, "mse": 3}[kind]
     rng = np.random.default_rng(np.random.SeedSequence([seed, kind_tag]))
-    loss_fn = _EVIDENTIAL[kind]
+    loss_fn = LOSSES[kind]
     worst = 0.0
     for _ in range(points):
         n, k = 3, int(rng.integers(2, 5))
@@ -97,42 +93,23 @@ def end_to_end_suite(seed=0, step=1e-5):
     schedule = AnnealSchedule(epoch=12)
     aux = default_aux_weights(config.num_scales)
 
-    def loss_value(arrays, want_tensors=False):
-        bundle = mo.ModelParams(config=config, arrays=arrays)
-        tensors = mo.make_param_tensors(bundle, trainable=want_tensors)
-        fwd_s = mo.forward(bundle, x_src, mode="train", param_tensors=tensors,
-                           update_stats=False)
-        fwd_t = mo.forward(bundle, x_tgt, mode="train", param_tensors=tensors,
-                           update_stats=False)
-        total, _ = combined_loss(fwd_s, fwd_t, labels, weights, schedule,
-                                 "ce", "ddc", aux)
-        return total, tensors
+    def loss_value(tensors):
+        fwd_s = mo.forward(params, x_src, mode="train", param_tensors=tensors)
+        fwd_t = mo.forward(params, x_tgt, mode="train", param_tensors=tensors)
+        return combined_loss(fwd_s, fwd_t, labels, weights, schedule,
+                             "ce", "ddc", aux)[0]
 
-    total, tensors = loss_value(params.arrays, want_tensors=True)
-    backward(total)
-
-    worst = 0.0
-    for name in params.trainable_names():
-        grad = tensors[name].grad
-        analytic = (np.zeros_like(params.arrays[name]) if grad is None
-                    else grad).reshape(-1)
-        flat = params.arrays[name].reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + step
-            f_plus = float(loss_value(params.arrays)[0].data)
-            flat[i] = saved - step
-            f_minus = float(loss_value(params.arrays)[0].data)
-            flat[i] = saved
-            fd = (f_plus - f_minus) / (2.0 * step)
-            rel = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
-            worst = max(worst, rel)
-    return worst
+    tensors = mo.make_param_tensors(params)
+    backward(loss_value(tensors))
+    return max(central_difference_error(
+        lambda: loss_value(mo.make_param_tensors(params, trainable=False)),
+        params.arrays[name], tensors[name].grad, step)
+        for name in params.trainable_names())
 
 
 def run_suite(name, points=DEFAULT_POINTS, seed=0):
     """Returns (worst error, tolerance) for one named suite."""
-    if name in _EVIDENTIAL:
+    if name in LOSSES:
         return evidential_suite(name, points=points, seed=seed), LOSS_TOLERANCE
     if name == "kl":
         return kl_suite(points=points, seed=seed), LOSS_TOLERANCE

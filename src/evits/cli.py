@@ -67,14 +67,14 @@ class Param(NamedTuple):
     help: str | None = None
 
 
-_ALL = ("gen-data", "train", "eval", "discrepancy", "gradcheck",
-        "select-lambda3")
 _GEN = ("gen-data",)
 _TRAIN = ("train", "select-lambda3")
 
 PARAMS = (
-    Param("seed", int, tr.TrainConfig.seed, _ALL),
-    Param("out_dir", str, None, _ALL),  # None: $EVITS_OUTDIR, else "."
+    Param("seed", int, tr.TrainConfig.seed,
+          _GEN + _TRAIN + ("discrepancy", "gradcheck")),
+    # None: $EVITS_OUTDIR, else "."
+    Param("out_dir", str, None, _GEN + _TRAIN + ("eval", "discrepancy")),
     Param("classes", int, da.SynthSpec.num_classes, _GEN),
     Param("channels", int, da.SynthSpec.channels, _GEN),
     Param("length", int, da.SynthSpec.length, _GEN),

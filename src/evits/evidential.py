@@ -17,8 +17,6 @@ from .errors import ConfigError, DomainError, ShapeError
 from .special import lgamma as lgamma_value
 from .tensor import Tensor, as_tensor
 
-LOSS_KINDS = ("ml", "ce", "mse")
-
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -122,6 +120,10 @@ def loss_mse(batch, labels):
     return (fit + variance).sum(axis=1)
 
 
+# evidential loss kind -> per-sample Bayesian risk
+LOSSES = {"ml": loss_ml, "ce": loss_ce, "mse": loss_mse}
+
+
 def alpha_tilde(batch, labels):
     """Concentrations with the true class's evidence removed (entry forced to 1)."""
     _check_pair(batch, labels)
@@ -151,9 +153,9 @@ def evidential_total(batch, labels, schedule, kind):
     Summed, not averaged: the trainer divides by batch size once so the
     loss weight keeps the same meaning across batch sizes.
     """
-    if kind not in LOSS_KINDS:
+    if kind not in LOSSES:
         raise ConfigError(f"unknown evidential loss kind {kind!r}")
-    risk = {"ml": loss_ml, "ce": loss_ce, "mse": loss_mse}[kind](batch, labels)
+    risk = LOSSES[kind](batch, labels)
     total = risk.sum()
     coeff = schedule.coefficient()
     if coeff > 0.0:

@@ -116,10 +116,10 @@ def run_uda(settings, seed, method, evidential, variant=None,
                                         head="evidential")
     pred_s, probs_s, _ = mo.predict(params, target.values, head="softmax")
     _, _, u_src = mo.predict(params, source.values, head="evidential")
-    if evidential == "none":
-        pred_p, probs_p = pred_s, probs_s
-    else:
+    if params.train_meta["primary_head"] == "evidential":
         pred_p, probs_p = pred_e, probs_e
+    else:
+        pred_p, probs_p = pred_s, probs_s
 
     feats_src = mo.forward(params, source.values, mode="eval").mixed.data
     feats_tgt = mo.forward(params, target.values, mode="eval").mixed.data

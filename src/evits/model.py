@@ -11,6 +11,7 @@ features when the multi-scale architecture is enabled.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -114,7 +115,6 @@ class ForwardOutput:
     aux_logits: list
     final_logits: Tensor
     evidence: Tensor
-    param_tensors: dict | None = None
 
 
 def _uniform(rng, fan_in, shape):
@@ -127,8 +127,7 @@ def init(config):
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     arrays = {}
 
-    conv_levels = ms.conv_reduction_levels(config.num_scales, config.variant) \
-        if config.num_scales >= 1 else []
+    conv_levels = ms.conv_reduction_levels(config.num_scales, config.variant)
     for index, _level in enumerate(conv_levels):
         fan_in = config.channels * ms.DOWNSAMPLE_KERNEL
         arrays[f"down{index}.w"] = _uniform(
@@ -173,18 +172,18 @@ def make_param_tensors(params, trainable=True):
     return tensors
 
 
-def _batchnorm(h, gamma, beta, running_mean, running_var, train, update_stats):
-    """Channel batch-norm on [N, C, T]; running stats mutate only when asked."""
+def _batchnorm(h, gamma, beta, running_mean, running_var, train):
+    """Channel batch-norm on [N, C, T]; a train-mode pass normalizes with
+    the batch statistics and folds them into the running stats in place."""
     g = gamma.reshape((1, -1, 1))
     b = beta.reshape((1, -1, 1))
     if train:
         mu = h.mean(axis=(0, 2), keepdims=True)
         var = ((h - mu) ** 2).mean(axis=(0, 2), keepdims=True)
-        if update_stats:
-            running_mean *= _BN_MOMENTUM
-            running_mean += (1.0 - _BN_MOMENTUM) * mu.data.reshape(-1)
-            running_var *= _BN_MOMENTUM
-            running_var += (1.0 - _BN_MOMENTUM) * var.data.reshape(-1)
+        running_mean *= _BN_MOMENTUM
+        running_mean += (1.0 - _BN_MOMENTUM) * mu.data.reshape(-1)
+        running_var *= _BN_MOMENTUM
+        running_var += (1.0 - _BN_MOMENTUM) * var.data.reshape(-1)
     else:
         mu = Tensor(running_mean.reshape(1, -1, 1))
         var = Tensor(running_var.reshape(1, -1, 1))
@@ -192,10 +191,10 @@ def _batchnorm(h, gamma, beta, running_mean, running_var, train, update_stats):
     return g * normalized + b
 
 
-def forward(params, x, mode="train", rng=None, param_tensors=None,
-            update_stats=None):
-    """Run the network; `mode` is "train" (batch statistics, random pooling
-    active) or "eval" (running statistics, deterministic pooling)."""
+def forward(params, x, mode="train", rng=None, param_tensors=None):
+    """Run the network; `mode` is "train" (batch statistics, folded into the
+    running statistics; random pooling active) or "eval" (running
+    statistics, deterministic pooling)."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
     config = params.config
@@ -205,22 +204,17 @@ def forward(params, x, mode="train", rng=None, param_tensors=None,
             f"input {x.shape} does not match [N, {config.channels}, {config.length}]"
         )
     train = mode == "train"
-    if update_stats is None:
-        update_stats = train
     pt = param_tensors if param_tensors is not None else \
         make_param_tensors(params, trainable=train)
 
-    conv_levels = ms.conv_reduction_levels(config.num_scales, config.variant) \
-        if config.num_scales >= 1 else []
+    conv_levels = ms.conv_reduction_levels(config.num_scales, config.variant)
     down_convs = [pt[f"down{i}.w"] for i in range(len(conv_levels))]
-    scale_set = ms.build_scales(
-        x, config.num_scales, config.variant if config.num_scales else None,
-        rng=rng, down_convs=down_convs if config.num_scales else None,
-        train=train)
+    scales = ms.build_scales(x, config.num_scales, config.variant, rng=rng,
+                             down_convs=down_convs, train=train)
 
     features = []
     aux_logits = []
-    for scale, series in enumerate(scale_set.scales):
+    for scale, series in enumerate(scales):
         h = series
         for block, kernel in enumerate(config.kernel_sizes):
             prefix = f"scale{scale}.block{block}"
@@ -229,7 +223,7 @@ def forward(params, x, mode="train", rng=None, param_tensors=None,
                 h, pt[f"{prefix}.bn_gamma"], pt[f"{prefix}.bn_beta"],
                 params.arrays[f"{prefix}.bn_running_mean"],
                 params.arrays[f"{prefix}.bn_running_var"],
-                train, update_stats)
+                train)
             h = h.relu()
             h = tz.pool1d(h, "max")
         feat = h.mean(axis=2)  # global average pool -> [N, F]
@@ -247,7 +241,6 @@ def forward(params, x, mode="train", rng=None, param_tensors=None,
         aux_logits=aux_logits,
         final_logits=final_logits,
         evidence=evidence,
-        param_tensors=pt,
     )
 
 
@@ -304,12 +297,19 @@ def load(path):
                           offset=r.offset - len(blob)) from exc
     arrays = {}
     for _ in range(r.u32("array count")):
-        name = r.take(r.u32("name length"), "name").decode("utf-8")
-        ndim = r.u32("rank")
-        shape = tuple(r.u32("extent") for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(8 * count, f"data for {name}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        at = r.offset
+        try:
+            name = r.take(r.u32("name length"), "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError("array name is not UTF-8", offset=at) from exc
+        at = r.offset
+        shape = tuple(r.u32("extent") for _ in range(r.u32("rank")))
+        raw = r.take(8 * math.prod(shape), f"data for {name}")
+        try:
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:
+            raise FormatError(f"array {name} has an unusable shape ({exc})",
+                              offset=at) from exc
     if r.offset != len(r.data):
         raise FormatError("trailing bytes after declared arrays", offset=r.offset)
     return ModelParams(config=config, arrays=arrays, train_meta=train_meta)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import tensor as tz
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, as_tensor
@@ -20,17 +18,6 @@ VARIANTS = ("L", "LM", "M", "A", "R")
 
 DOWNSAMPLE_KERNEL = 3
 DOWNSAMPLE_PADDING = 1
-
-
-@dataclass
-class MultiScaleSet:
-    """Down-sampled copies of one batch; scales[0] is the untouched input."""
-
-    scales: list
-
-    def __post_init__(self):
-        if not self.scales:
-            raise ShapeError("a multi-scale set needs at least the base scale")
 
 
 @dataclass
@@ -62,7 +49,8 @@ def conv_reduction_levels(num_scales, variant):
 
 
 def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
-    """Produce the scale set x_0 .. x_M via repeated stride-2 reduction.
+    """Produce the list of scales x_0 .. x_M via repeated stride-2
+    reduction; x_0 is the untouched input.
 
     variant L: stride-2 conv (kernel 3, padding 1, channel-preserving);
     LM: max-pool then conv on alternating reductions; M / A / R: window-2
@@ -82,7 +70,7 @@ def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
             f"length {length} cannot support {num_scales} halvings"
         )
     if num_scales == 0:
-        return MultiScaleSet(scales=[x])
+        return [x]
     if variant not in VARIANTS:
         raise ConfigError(f"unknown down-sampling variant {variant!r}")
     if variant == "R" and train and rng is None:
@@ -115,7 +103,7 @@ def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
             kind = "random" if train else "max"
             current = tz.pool1d(current, kind, rng=rng)
         scales.append(current)
-    return MultiScaleSet(scales=scales)
+    return scales
 
 
 def mix_features(per_scale_features):

@@ -535,12 +535,33 @@ def softmax(logits, axis=1):
 # -- verification ---------------------------------------------------------------
 
 
-def grad_check(fn, point, step=1e-5):
-    """Max relative gap between the taped gradient and central differences.
+def central_difference_error(value, array, analytic, step):
+    """Max relative gap between the taped gradient `analytic` of `array`
+    (None means zero) and central differences of the scalar `value()`.
 
-    Relative error per coordinate is |analytic - fd| / max(1, |analytic|);
-    the max over coordinates is returned.
+    Each coordinate of `array` is moved by +-step in place and restored;
+    relative error per coordinate is |analytic - fd| / max(1, |analytic|).
     """
+    flat = array.reshape(-1)
+    analytic = (np.zeros(flat.size) if analytic is None
+                else analytic.reshape(-1))
+    worst = 0.0
+    for i in range(flat.size):
+        saved = flat[i]
+        flat[i] = saved + step
+        f_plus = float(value().data.reshape(()))
+        flat[i] = saved - step
+        f_minus = float(value().data.reshape(()))
+        flat[i] = saved
+        fd = (f_plus - f_minus) / (2.0 * step)
+        rel = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
+        worst = max(worst, rel)
+    return worst
+
+
+def grad_check(fn, point, step=1e-5):
+    """Max relative gap between the taped gradient of `fn` at `point` and
+    central differences (see `central_difference_error`)."""
     if step <= 0:
         raise ConfigError("grad_check needs step > 0")
     point = as_tensor(point)
@@ -549,20 +570,6 @@ def grad_check(fn, point, step=1e-5):
     if out.data.size != 1:
         raise ContractError("grad_check needs a scalar-valued function")
     backward(out)
-    analytic = (probe.grad if probe.grad is not None
-                else np.zeros_like(probe.data)).reshape(-1)
-
     base = point.data.copy()
-    flat = base.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + step
-        f_plus = float(fn(Tensor(base)).data.reshape(()))
-        flat[i] = saved - step
-        f_minus = float(fn(Tensor(base)).data.reshape(()))
-        flat[i] = saved
-        fd = (f_plus - f_minus) / (2.0 * step)
-        rel = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
-        worst = max(worst, rel)
-    return worst
+    return central_difference_error(lambda: fn(Tensor(base)), base,
+                                    probe.grad, step)

@@ -18,6 +18,7 @@ import numpy as np
 from . import alignment, metrics, model as mo
 from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError
 from .evidential import (
+    LOSSES,
     AnnealSchedule,
     LabelBatch,
     evidence_to_alpha,
@@ -26,7 +27,7 @@ from .evidential import (
 from .multiscale import aux_classification_loss, default_aux_weights
 from .tensor import backward
 
-EVIDENTIAL_KINDS = ("none", "ml", "ce", "mse")
+EVIDENTIAL_KINDS = ("none",) + tuple(LOSSES)
 
 METHOD_LAMBDA2 = {"noadapt": 0.0, "ddc": 1.0, "coral": 1.0, "homm": 0.1,
                   "mmda": 0.5}

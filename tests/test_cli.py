@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -341,6 +343,43 @@ def test_flag_and_config_line_resolve_alike(tmp_path, command, key):
     by_file = resolve(command, "--config", str(config))
     assert by_flag.get(key) == by_file.get(key) != resolve(command).get(key)
     assert cli._echo_lines(by_flag.echo) == cli._echo_lines(by_file.echo)
+
+
+@pytest.mark.parametrize("command,key", [("eval", "seed"),
+                                         ("gradcheck", "out_dir")])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, command, key):
+    with pytest.raises(SystemExit) as result:
+        resolve(command, cli._flag(key), RUN_VALUES[key])
+    assert result.value.code == 2
+    # another command reads the key, so a shared config file may set it
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {RUN_VALUES[key]}\n")
+    assert key not in resolve(command, "--config", str(config)).values
+
+
+def test_blas_thread_count_leaves_training_bytes(tmp_path):
+    # 3 epochs of multi-scale M / ddc / evidential-CE in fresh processes,
+    # one and two OpenBLAS threads: identical model and log bytes
+    assert run_cli("gen-data", "--out-dir", str(tmp_path), "--seed", "0",
+                   "--shift", "amp=0.7,freq=0.6,noise=0.3") == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run(
+            [sys.executable, "-m", "evits.cli", "train",
+             "--source", str(tmp_path / "source.evts"),
+             "--target", str(tmp_path / "target.evts"),
+             "--out-dir", str(out_dir), "--multiscale", "M", "--method",
+             "ddc", "--evidential", "ce", "--epochs", "3", "--widths",
+             "14,14,14"],
+            env=env, check=True, capture_output=True)
+        outputs.append(((out_dir / "model.evtm").read_bytes(),
+                        (out_dir / "train_log.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -47,6 +47,15 @@ def test_run_uda_multiscale_variant():
     assert np.isfinite(result.feature_mmd)
 
 
+def test_run_uda_scores_the_head_the_model_predicts_with():
+    # lambda3 = 0 leaves the evidential head untrained, so training marks
+    # the softmax head primary and the primary scores are the softmax ones
+    result = ex.run_uda(ex.BenchmarkSettings(epochs=3, lambda3=0.0), seed=0,
+                        method="ddc", evidential="ce")
+    assert result.target_f1 == result.target_f1_softmax
+    assert result.target_ece == result.target_ece_softmax
+
+
 def test_benchmark_outcome_bookkeeping():
     settings = quick_settings()
     outcome = ex.run_benchmark(settings, seeds=range(2),

@@ -118,10 +118,17 @@ class TestForward:
         mo.forward(params, x, mode="train")
         after = params.arrays["scale0.block0.bn_running_mean"]
         assert not np.array_equal(before, after)
-        frozen = after.copy()
-        mo.forward(params, x, mode="train", update_stats=False)
-        assert np.array_equal(frozen,
-                              params.arrays["scale0.block0.bn_running_mean"])
+
+    def test_eval_mode_leaves_running_stats(self):
+        params = mo.init(tiny_config())
+        x = np.random.default_rng(4).standard_normal((6, 2, 32)) + 2.0
+        mo.forward(params, x, mode="train")  # move them off their init values
+        running = {name: arr.copy() for name, arr in params.arrays.items()
+                   if name.endswith(("running_mean", "running_var"))}
+        assert len(running) == 12  # 2 scales x 3 blocks x (mean, var)
+        mo.forward(params, x, mode="eval")
+        for name, arr in running.items():
+            assert np.array_equal(arr, params.arrays[name])
 
 
 class TestPredict:
@@ -195,6 +202,25 @@ class TestSerialization:
         with pytest.raises(FormatError, match="header") as failure:
             mo.load(path)
         assert failure.value.offset == 12
+
+    def test_every_bit_flip_under_valid_checksum(self, tmp_path):
+        # each single-bit flip, CRC recomputed: the file loads or fails
+        # with a FormatError at an offset, never with a bare exception
+        import zlib
+        path = tmp_path / "m.evtm"
+        mo.save(mo.init(tiny_config(channels=1, length=8, num_classes=2,
+                                    variant="L", conv_widths=(2,),
+                                    kernel_sizes=(3,))), path)
+        body = path.read_bytes()[:-4]
+        for bit in range(8 * len(body)):
+            flipped = bytearray(body)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped)
+                             + zlib.crc32(flipped).to_bytes(4, "little"))
+            try:
+                mo.load(path)
+            except FormatError as exc:
+                assert exc.offset is not None, bit
 
     def test_corrupted_payload(self, tmp_path):
         path = tmp_path / "m.evtm"

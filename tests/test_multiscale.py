@@ -26,32 +26,32 @@ def down_convs(count, channels=1, seed=1):
 class TestBuildScales:
     def test_extents_128(self):
         out = ms.build_scales(rand_series((2, 3, 128)), 2, "M")
-        assert [s.shape[2] for s in out.scales] == [128, 64, 32]
+        assert [s.shape[2] for s in out] == [128, 64, 32]
 
     @pytest.mark.parametrize("variant,n_convs", [("M", 0), ("A", 0),
                                                  ("L", 2), ("LM", 1)])
     def test_extents_odd_lengths(self, variant, n_convs):
         kwargs = {"down_convs": down_convs(n_convs)} if n_convs else {}
         out = ms.build_scales(rand_series((1, 1, 10)), 2, variant, **kwargs)
-        assert [s.shape[2] for s in out.scales] == [10, 5, 2]
+        assert [s.shape[2] for s in out] == [10, 5, 2]
 
     def test_variant_a_values(self):
         out = ms.build_scales(series(range(1, 9)), 2, "A")
-        assert np.array_equal(out.scales[1].data.ravel(),
+        assert np.array_equal(out[1].data.ravel(),
                               [1.5, 3.5, 5.5, 7.5])
-        assert np.array_equal(out.scales[2].data.ravel(), [2.5, 6.5])
+        assert np.array_equal(out[2].data.ravel(), [2.5, 6.5])
 
     def test_scale_zero_is_input_bitwise(self):
         x = rand_series((2, 2, 16))
         out = ms.build_scales(x, 2, "R", rng=np.random.default_rng(0))
-        assert out.scales[0] is x
+        assert out[0] is x
 
     def test_constant_input_stays_constant(self):
         x = Tensor(np.full((1, 2, 16), 4.75))
         for variant in ("M", "A", "R"):
             out = ms.build_scales(x, 2, variant,
                                   rng=np.random.default_rng(3))
-            for scale in out.scales:
+            for scale in out:
                 assert np.all(scale.data == 4.75)
 
     def test_pooling_variants_parameter_free_and_rng_free(self):
@@ -59,14 +59,14 @@ class TestBuildScales:
         for variant in ("M", "A"):
             a = ms.build_scales(x, 2, variant, rng=np.random.default_rng(1))
             b = ms.build_scales(x, 2, variant, rng=np.random.default_rng(99))
-            for left, right in zip(a.scales, b.scales):
+            for left, right in zip(a, b):
                 assert np.array_equal(left.data, right.data)
 
     def test_random_variant_eval_falls_back_to_max(self):
         x = rand_series((1, 1, 8), seed=6)
         eval_out = ms.build_scales(x, 1, "R", train=False)
         max_out = ms.build_scales(x, 1, "M")
-        assert np.array_equal(eval_out.scales[1].data, max_out.scales[1].data)
+        assert np.array_equal(eval_out[1].data, max_out[1].data)
 
     def test_random_variant_needs_rng_in_training(self):
         with pytest.raises(ConfigError):
