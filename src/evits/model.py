@@ -159,10 +159,6 @@ def init(config):
     return ModelParams(config=config, arrays=arrays)
 
 
-def count_parameters(params):
-    return sum(params.arrays[name].size for name in params.trainable_names())
-
-
 def make_param_tensors(params, trainable=True):
     """Wrap the arrays as tape tensors; shared by source/target forwards."""
     tensors = {}

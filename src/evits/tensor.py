@@ -495,25 +495,20 @@ def pool1d(x, kind, rng=None):
 
     if kind == "avg":
         out_data = 0.5 * (left + right)
-
-        def bwd(g):
-            gx = np.zeros((n, c, t))
-            gx[:, :, 0:2 * t_out:2] = 0.5 * g
-            gx[:, :, 1:2 * t_out:2] = 0.5 * g
-            _accumulate(x, gx)
-
+        share_left = share_right = 0.5
     else:
         if kind == "max":
             take_right = right > left  # ties pick the first slot, like argmax
         else:
             take_right = rng.integers(0, 2, size=(n, c, t_out)).astype(bool)
         out_data = np.where(take_right, right, left)
+        share_left, share_right = ~take_right, take_right
 
-        def bwd(g):
-            gx = np.zeros((n, c, t))
-            gx[:, :, 0:2 * t_out:2] = g * ~take_right
-            gx[:, :, 1:2 * t_out:2] = g * take_right
-            _accumulate(x, gx)
+    def bwd(g):
+        gx = np.zeros((n, c, t))
+        gx[:, :, 0:2 * t_out:2] = g * share_left
+        gx[:, :, 1:2 * t_out:2] = g * share_right
+        _accumulate(x, gx)
 
     return _node(out_data, (x,), bwd, f"pool_{kind}")
 

@@ -39,7 +39,9 @@ class TestInit:
         # hand formula for the default config:
         #   per scale: 64*3*8 + 2*64 + 64*64*5 + 2*64 + 64*64*3 + 2*64 = 34688
         #   3 scales + final/evidence heads (192*6+6 each) + 3 aux (64*6+6)
-        assert mo.count_parameters(mo.init(config())) == 107550
+        params = mo.init(config())
+        assert sum(params.arrays[n].size
+                   for n in params.trainable_names()) == 107550
 
     def test_normalization_init(self):
         params = mo.init(config())
