@@ -44,11 +44,11 @@ class ParseError(ToolkitError, ValueError):
 
 
 class NumericalAbort(ToolkitError):
-    """Training produced a non-finite loss; names the first bad component."""
+    """Training produced a non-finite loss or gradient; names the first one."""
 
-    def __init__(self, component, epoch, step):
+    def __init__(self, component, epoch, step, kind="loss component"):
         super().__init__(
-            f"non-finite '{component}' loss component at epoch {epoch}, step {step}"
+            f"non-finite '{component}' {kind} at epoch {epoch}, step {step}"
         )
         self.component = component
         self.epoch = epoch

@@ -48,7 +48,7 @@ class ModelConfig:
             raise ConfigError("need at least two classes")
         if self.num_scales < 0:
             raise ConfigError("num_scales must be >= 0")
-        if self.length < 2 ** self.num_scales:
+        if self.length >> self.num_scales == 0:
             raise ConfigError(
                 f"length {self.length} cannot support {self.num_scales} halvings"
             )
@@ -56,8 +56,8 @@ class ModelConfig:
             raise ConfigError(
                 f"multi-scale models need a variant from {ms.VARIANTS}"
             )
-        if len(self.conv_widths) != len(self.kernel_sizes):
-            raise ConfigError("conv_widths and kernel_sizes must pair up")
+        if not self.conv_widths or len(self.conv_widths) != len(self.kernel_sizes):
+            raise ConfigError("conv_widths and kernel_sizes must pair up, one block or more")
         if any(w < 1 for w in self.conv_widths) or any(k < 1 for k in self.kernel_sizes):
             raise ConfigError("widths and kernels must be positive")
         for scale in range(self.num_scales + 1):
@@ -122,40 +122,37 @@ def _uniform(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def layout(config):
+    """Name -> shape of every parameter array, in init and file order."""
+    c, levels = config.channels, ms.conv_reduction_levels(config.num_scales, config.variant)
+    shapes = {f"down{i}.w": (c, c, ms.DOWNSAMPLE_KERNEL) for i in range(len(levels))}
+    for scale in range(config.num_scales + 1):
+        in_ch = c
+        for block, (width, kernel) in enumerate(zip(config.conv_widths, config.kernel_sizes)):
+            prefix = f"scale{scale}.block{block}"
+            shapes[f"{prefix}.conv_w"] = (width, in_ch, kernel)
+            for stat in ("gamma", "beta", "running_mean", "running_var"):
+                shapes[f"{prefix}.bn_{stat}"] = (width,)
+            in_ch = width
+    aux = range(config.num_scales + 1) if config.num_scales >= 1 else ()
+    heads = {"final": config.mixed_width, "evidence": config.mixed_width,
+             **{f"aux{s}": config.feature_width for s in aux}}
+    for head, width in heads.items():
+        shapes[f"{head}.w"] = (width, config.num_classes)
+        shapes[f"{head}.b"] = (config.num_classes,)
+    return shapes
+
+
 def init(config):
     """Deterministically initialize parameters for a config (seeded)."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    arrays = {}
-
-    conv_levels = ms.conv_reduction_levels(config.num_scales, config.variant)
-    for index, _level in enumerate(conv_levels):
-        fan_in = config.channels * ms.DOWNSAMPLE_KERNEL
-        arrays[f"down{index}.w"] = _uniform(
-            rng, fan_in, (config.channels, config.channels, ms.DOWNSAMPLE_KERNEL))
-
-    for scale in range(config.num_scales + 1):
-        in_ch = config.channels
-        for block, (width, kernel) in enumerate(
-                zip(config.conv_widths, config.kernel_sizes)):
-            prefix = f"scale{scale}.block{block}"
-            arrays[f"{prefix}.conv_w"] = _uniform(
-                rng, in_ch * kernel, (width, in_ch, kernel))
-            arrays[f"{prefix}.bn_gamma"] = np.ones(width)
-            arrays[f"{prefix}.bn_beta"] = np.zeros(width)
-            arrays[f"{prefix}.bn_running_mean"] = np.zeros(width)
-            arrays[f"{prefix}.bn_running_var"] = np.ones(width)
-            in_ch = width
-
-    mixed = config.mixed_width
-    arrays["final.w"] = _uniform(rng, mixed, (mixed, config.num_classes))
-    arrays["final.b"] = _uniform(rng, mixed, (config.num_classes,))
-    arrays["evidence.w"] = _uniform(rng, mixed, (mixed, config.num_classes))
-    arrays["evidence.b"] = _uniform(rng, mixed, (config.num_classes,))
-    if config.num_scales >= 1:
-        f = config.feature_width
-        for scale in range(config.num_scales + 1):
-            arrays[f"aux{scale}.w"] = _uniform(rng, f, (f, config.num_classes))
-            arrays[f"aux{scale}.b"] = _uniform(rng, f, (config.num_classes,))
+    shapes, arrays = layout(config), {}
+    for name, shape in shapes.items():
+        if ".bn_" in name:  # gamma and running_var start at 1, beta and running_mean at 0
+            arrays[name] = np.full(shape, float(name.endswith(("gamma", "running_var"))))
+        else:  # conv [out, in, k], dense [in, out]; a bias takes its weight's fan-in
+            w = shapes[name[:-1] + "w"]
+            arrays[name] = _uniform(rng, w[1] * w[2] if len(w) == 3 else w[0], shape)
     return ModelParams(config=config, arrays=arrays)
 
 
@@ -169,22 +166,15 @@ def make_param_tensors(params, trainable=True):
 
 
 def _batchnorm(h, gamma, beta, running_mean, running_var, train):
-    """Channel batch-norm on [N, C, T]; a train-mode pass normalizes with
-    the batch statistics and folds them into the running stats in place."""
-    g = gamma.reshape((1, -1, 1))
-    b = beta.reshape((1, -1, 1))
+    """Channel batch-norm on [N, C, T]: train mode normalizes with the batch statistics
+    and folds them into the running stats in place; eval mode records no tape node."""
     if train:
-        mu = h.mean(axis=(0, 2), keepdims=True)
-        var = ((h - mu) ** 2).mean(axis=(0, 2), keepdims=True)
-        running_mean *= _BN_MOMENTUM
-        running_mean += (1.0 - _BN_MOMENTUM) * mu.data.reshape(-1)
-        running_var *= _BN_MOMENTUM
-        running_var += (1.0 - _BN_MOMENTUM) * var.data.reshape(-1)
-    else:
-        mu = Tensor(running_mean.reshape(1, -1, 1))
-        var = Tensor(running_var.reshape(1, -1, 1))
-    normalized = (h - mu) / ((var + _BN_EPS) ** 0.5)
-    return g * normalized + b
+        out, mean, var = tz.batchnorm(h, gamma, beta, _BN_EPS)
+        running_mean[:] = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mean
+        running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
+        return out
+    scale = (gamma.data / np.sqrt(running_var + _BN_EPS))[:, None]
+    return Tensor((h.data - running_mean[:, None]) * scale + beta.data[:, None])
 
 
 def forward(params, x, mode="train", rng=None, param_tensors=None):
@@ -284,28 +274,34 @@ def load(path):
     """Read an EVTM container back; bit-identical round trip."""
     r = FrameReader(path, MODEL_MAGIC, MODEL_VERSION)
     blob = r.take(r.u32("header length"), "header")
+    at = r.offset - len(blob)
     try:
         header = json.loads(blob.decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
         train_meta = header.get("train_meta", {})
     except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"model header is not a valid config ({exc})",
-                          offset=r.offset - len(blob)) from exc
+        raise FormatError(f"model header is not a valid config ({exc})", offset=at) from exc
+    shapes = layout(config)
+    if 8 * sum(map(math.prod, shapes.values())) > len(r.data) - r.offset:
+        raise FormatError("header config needs more weights than the file has", offset=at)
+    count = r.u32("array count")
+    if count != len(shapes):
+        raise FormatError(f"{count} arrays, not {len(shapes)}", offset=r.offset - 4)
     arrays = {}
-    for _ in range(r.u32("array count")):
+    for _ in range(count):
         at = r.offset
         try:
             name = r.take(r.u32("name length"), "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError("array name is not UTF-8", offset=at) from exc
+        if name not in shapes or name in arrays:
+            raise FormatError(f"unexpected or repeated array {name!r}", offset=at)
         at = r.offset
         shape = tuple(r.u32("extent") for _ in range(r.u32("rank")))
+        if shape != shapes[name]:
+            raise FormatError(f"{name} has shape {shape}, not {shapes[name]}", offset=at)
         raw = r.take(8 * math.prod(shape), f"data for {name}")
-        try:
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        except ValueError as exc:
-            raise FormatError(f"array {name} has an unusable shape ({exc})",
-                              offset=at) from exc
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if r.offset != len(r.data):
         raise FormatError("trailing bytes after declared arrays", offset=r.offset)
     return ModelParams(config=config, arrays=arrays, train_meta=train_meta)

@@ -4,9 +4,9 @@ The supported primitive set is exactly what the model and losses need:
 elementwise arithmetic with numpy broadcasting, matmul, relu / softplus /
 exp / log, the log-gamma family, reductions, reshape / transpose /
 concatenation / cropping, 1-D convolution (cross-correlation, zero
-padding) and 1-D pooling.  Applying an operation records the node on the
-implicit tape; ``backward`` on a scalar output replays it and accumulates
-one gradient array per reachable tensor.
+padding), batch-norm and 1-D pooling.  Applying an operation records the
+node on the implicit tape; ``backward`` on a scalar output replays it and
+accumulates one gradient array per reachable tensor.
 
 Everything is value-semantic and deterministic: random pooling takes an
 explicit ``numpy.random.Generator`` and reproduces bit-identical output
@@ -115,9 +115,13 @@ def as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _tracked(tensor):  # a gradient reaches a leaf that asks for one, or a node
+    return tensor.requires_grad or tensor._parents
+
+
 def _node(data, parents, backward_fn, op):
     # constant folding: drop the tape record when no parent can need a gradient
-    tracked = tuple(p for p in parents if p.requires_grad or p._parents)
+    tracked = tuple(p for p in parents if _tracked(p))
     out = Tensor(data)
     if tracked:
         out.requires_grad = True
@@ -128,7 +132,7 @@ def _node(data, parents, backward_fn, op):
 
 
 def _accumulate(tensor, grad):
-    if tensor.requires_grad or tensor._parents:
+    if _tracked(tensor):
         tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
@@ -437,7 +441,7 @@ def conv1d(x, kernel, stride=1, padding=0):
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise ShapeError("conv1d expects x [N,Cin,T] and kernel [Cout,Cin,k]")
-    n, cin, t = x.data.shape
+    _, cin, t = x.data.shape
     cout, cin_k, k = kernel.data.shape
     if cin != cin_k:
         raise ShapeError(f"conv1d channel mismatch: input {cin}, kernel {cin_k}")
@@ -447,26 +451,49 @@ def conv1d(x, kernel, stride=1, padding=0):
         raise ShapeError("conv1d kernel longer than padded input")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
-    t_out = windows.shape[2]
-    # contiguous im2col once; forward and both backward products hit BLAS
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3))
-    cols = cols.reshape(n * t_out, cin * k)
-    w_mat = kernel.data.reshape(cout, cin * k)
-    out_data = (cols @ w_mat.T).reshape(n, t_out, cout)
-    out_data = np.ascontiguousarray(out_data.transpose(0, 2, 1))  # [N, Cout, T']
+    t_out = (t + 2 * padding - k) // stride + 1
+    # tap j: kernel column j and the input steps j, j + stride, ... it meets
+    taps = [(kernel.data[:, :, j], slice(j, j + stride * t_out, stride)) for j in range(k)]
+    out_data = 0.0  # one [Cout, Cin] @ [N, Cin, T'] product per tap, summed
+    for w_j, steps in taps:
+        out_data += w_j @ xp[:, :, steps]
 
     def bwd(g):
-        g2d = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, cout)
-        _accumulate(kernel, (g2d.T @ cols).reshape(cout, cin, k))
-        gcols = (g2d @ w_mat).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
-        gxp = np.zeros((n, cin, t + 2 * padding))
-        starts = np.arange(t_out) * stride
-        for j in range(k):
-            gxp[:, :, starts + j] += gcols[:, :, :, j]
-        _accumulate(x, gxp[:, :, padding:padding + t] if padding else gxp)
+        if _tracked(kernel):
+            gc = g.transpose(1, 0, 2).reshape(cout, -1)
+            xc = np.ascontiguousarray(xp.transpose(1, 0, 2))  # [Cin, N, Tp]
+            _accumulate(kernel, np.stack(
+                [gc @ xc[:, :, s].reshape(cin, -1).T for _, s in taps], axis=2))
+        if _tracked(x):
+            gxp = np.zeros_like(xp)
+            for w_j, steps in taps:
+                gxp[:, :, steps] += w_j.T @ g
+            _accumulate(x, gxp[:, :, padding:padding + t] if padding else gxp)
 
     return _node(out_data, (x, kernel), bwd, "conv1d")
+
+
+def batchnorm(h, gamma, beta, eps):
+    """Channel batch-norm of [N, C, T] with the batch statistics, as one tape
+    node with the closed-form backward (Ioffe & Szegedy, 2015).  Returns
+    (out, batch mean [C], biased batch variance [C])."""
+    h, gamma, beta = as_tensor(h), as_tensor(gamma), as_tensor(beta)
+    mean = h.data.mean(axis=(0, 2))
+    centered = h.data - mean[:, None]
+    var = (centered * centered).mean(axis=(0, 2))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normalized = centered * inv_std[:, None]
+
+    def bwd(g):
+        g_norm = (g * normalized).sum(axis=(0, 2))
+        g_sum = g.sum(axis=(0, 2))
+        _accumulate(gamma, g_norm)
+        _accumulate(beta, g_sum)
+        _accumulate(h, (gamma.data * inv_std)[:, None] * (
+            g - (g_sum[:, None] + normalized * g_norm[:, None]) * (g.shape[1] / g.size)))
+
+    out_data = gamma.data[:, None] * normalized + beta.data[:, None]
+    return _node(out_data, (h, gamma, beta), bwd, "batchnorm"), mean, var
 
 
 POOL_KINDS = ("max", "avg", "random")

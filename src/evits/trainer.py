@@ -244,10 +244,10 @@ class _CyclingSampler:
         return np.asarray(out)
 
 
-def _component_check(breakdown, epoch, step):
-    for component in ("cls", "domain", "evidential"):
-        if not np.isfinite(getattr(breakdown, component)):
-            raise NumericalAbort(component, epoch, step)
+def _finite_check(named_values, epoch, step, kind="loss component"):
+    for name, value in named_values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise NumericalAbort(name, epoch, step, kind)
 
 
 def train(model_config, train_config, source, target, source_val=None):
@@ -311,9 +311,10 @@ def train(model_config, train_config, source, target, source_val=None):
                     train_config.evidential, train_config.method, aux_weights)
             except _ComponentFailure as exc:
                 raise NumericalAbort(exc.component, epoch, step) from exc
-            _component_check(breakdown, epoch, step)
+            _finite_check(asdict(breakdown), epoch, step)
             backward(total)
             grads = {name: tensors[name].grad for name in optimizer.names}
+            _finite_check(grads, epoch, step, "gradient")
             optimizer.apply(params, grads)
             sums += (breakdown.cls, breakdown.domain, breakdown.evidential)
             steps += 1

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from evits import checks
 from evits import model as mo
-from evits.errors import ConfigError, FormatError, ShapeError
+from evits.errors import ConfigError, FormatError, ShapeError, ToolkitError
 from evits.evidential import evidence_to_alpha, predict_mean
 
 
@@ -21,6 +23,10 @@ def tiny_config(**overrides):
                 seed=1)
     base.update(overrides)
     return mo.ModelConfig(**base)
+
+
+def tiny_header(**overrides):
+    return json.dumps({"config": {**tiny_config().to_dict(), **overrides}}).encode()
 
 
 class TestInit:
@@ -192,6 +198,12 @@ class TestSerialization:
         b"\xff{not json",
         b'{"train_meta": {}}',
         b'{"config": {"channels": 2}}',
+        pytest.param(tiny_header(conv_widths=[], kernel_sizes=[]), id="no-blocks"),
+        pytest.param(tiny_header(num_scales=10 ** 12), id="huge-num_scales"),
+        # shapes far beyond the bytes that follow: refused before any allocation
+        pytest.param(tiny_header(conv_widths=[2 ** 30, 4, 4]), id="huge-conv_widths"),
+        pytest.param(tiny_header(channels=2 ** 40), id="huge-channels"),
+        pytest.param(tiny_header(num_classes=2 ** 40), id="huge-num_classes"),
     ])
     def test_bad_header_under_valid_checksum(self, tmp_path, header):
         import zlib
@@ -205,14 +217,31 @@ class TestSerialization:
             mo.load(path)
         assert failure.value.offset == 12
 
+    @pytest.mark.parametrize("edit", ["missing", "extra", "misshapen"])
+    def test_arrays_must_match_the_config(self, tmp_path, edit):
+        params = mo.init(tiny_config())
+        if edit == "missing":
+            del params.arrays["final.b"]
+        elif edit == "extra":
+            params.arrays["final.c"] = np.zeros(3)
+        else:
+            params.arrays["final.b"] = np.zeros(4)
+        path = tmp_path / "m.evtm"
+        mo.save(params, path)
+        with pytest.raises(FormatError) as failure:
+            mo.load(path)
+        assert failure.value.offset is not None
+
     def test_every_bit_flip_under_valid_checksum(self, tmp_path):
-        # each single-bit flip, CRC recomputed: the file loads or fails
-        # with a FormatError at an offset, never with a bare exception
+        # each single-bit flip, CRC recomputed: the file fails with a
+        # FormatError at an offset, or it loads and predicts on a valid
+        # batch (or refuses it with a ToolkitError), never a bare exception
         import zlib
         path = tmp_path / "m.evtm"
-        mo.save(mo.init(tiny_config(channels=1, length=8, num_classes=2,
-                                    variant="L", conv_widths=(2,),
-                                    kernel_sizes=(3,))), path)
+        cfg = tiny_config(channels=1, length=8, num_classes=2, variant="L",
+                          conv_widths=(2,), kernel_sizes=(3,))
+        mo.save(mo.init(cfg), path)
+        batch = np.random.default_rng(0).standard_normal((3, 1, 8))
         body = path.read_bytes()[:-4]
         for bit in range(8 * len(body)):
             flipped = bytearray(body)
@@ -220,9 +249,15 @@ class TestSerialization:
             path.write_bytes(bytes(flipped)
                              + zlib.crc32(flipped).to_bytes(4, "little"))
             try:
-                mo.load(path)
+                params = mo.load(path)
             except FormatError as exc:
                 assert exc.offset is not None, bit
+                continue
+            try:
+                with np.errstate(all="ignore"):
+                    mo.predict(params, batch)
+            except ToolkitError:
+                pass
 
     def test_corrupted_payload(self, tmp_path):
         path = tmp_path / "m.evtm"

@@ -55,6 +55,101 @@ class TestConv1d:
         np.testing.assert_allclose(mixed, parts, rtol=1e-12, atol=1e-9)
 
 
+def _im2col_conv1d(x, w, stride, padding):
+    # plain reference: gather every window, one matrix product
+    cout, cin, k = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    t_out = (xp.shape[2] - k) // stride + 1
+    cols = np.stack([xp[:, :, s * stride:s * stride + k].reshape(len(x), -1)
+                     for s in range(t_out)], axis=1)
+    return (cols @ w.reshape(cout, -1).T).transpose(0, 2, 1)
+
+
+# (kernel, stride, padding, length): the backbone's three blocks, then the
+# L down-sample at an odd and an even length
+CONV_CASES = [(8, 1, 4, 16), (5, 1, 2, 16), (3, 1, 1, 16), (3, 2, 1, 15),
+              (3, 2, 1, 16)]
+
+
+@pytest.mark.parametrize("k, stride, padding, length", CONV_CASES)
+class TestConv1dAgainstReference:
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.x = rng.standard_normal((3, 2, 16))
+        self.weights = rng.standard_normal((4, 2, 8))
+        self.probe = rng.standard_normal((3, 4, 17))
+
+    def operands(self, k, length):
+        return self.x[:, :, :length], self.weights[:, :, :k]
+
+    def test_forward(self, k, stride, padding, length):
+        x, w = self.operands(k, length)
+        out = tz.conv1d(Tensor(x), Tensor(w), stride, padding).data
+        np.testing.assert_allclose(out, _im2col_conv1d(x, w, stride, padding),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_gradients(self, k, stride, padding, length):
+        x, w = self.operands(k, length)
+
+        def loss(xv, wv):
+            out = tz.conv1d(xv, wv, stride, padding)
+            probe = self.probe[:, :, :out.shape[2]]
+            return tz.tsum(out * Tensor(probe))
+
+        assert grad_check(lambda xv: loss(xv, Tensor(w)), Tensor(x)) < 1e-6
+        assert grad_check(lambda wv: loss(Tensor(x), wv), Tensor(w)) < 1e-6
+
+
+def test_conv1d_untracked_input_gets_no_gradient():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 2, 16))
+    w = rng.standard_normal((4, 2, 5))
+    grads = []
+    for tracked in (False, True):
+        xt = Tensor(x, requires_grad=tracked)
+        wt = Tensor(w, requires_grad=True)
+        backward(tz.tsum(tz.conv1d(xt, wt, 1, 2) ** 2))
+        assert (xt.grad is None) == (not tracked)
+        grads.append(wt.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
+class TestBatchnorm:
+    def setup_method(self):
+        rng = np.random.default_rng(7)
+        self.h = rng.standard_normal((4, 3, 5)) * 2.0 + 1.0
+        self.gamma = rng.uniform(0.5, 1.5, 3)
+        self.beta = rng.standard_normal(3)
+        self.probe = rng.standard_normal((4, 3, 5))
+
+    def loss(self, h, gamma, beta):
+        out, _, _ = tz.batchnorm(h, gamma, beta, 1e-5)
+        return tz.tsum(out * Tensor(self.probe))
+
+    def test_statistics(self):
+        out, mean, var = tz.batchnorm(Tensor(self.h), Tensor(self.gamma),
+                                      Tensor(self.beta), 1e-5)
+        np.testing.assert_allclose(mean, self.h.mean(axis=(0, 2)), rtol=1e-12)
+        np.testing.assert_allclose(var, self.h.var(axis=(0, 2)), rtol=1e-12)
+        normalized = (out.data - self.beta[:, None]) / self.gamma[:, None]
+        np.testing.assert_allclose(normalized.mean(axis=(0, 2)), 0.0,
+                                   atol=1e-12)
+
+    def test_gradient_wrt_input(self):
+        g, b = Tensor(self.gamma), Tensor(self.beta)
+        assert grad_check(lambda h: self.loss(h, g, b), Tensor(self.h)) < 1e-6
+
+    def test_gradient_wrt_gamma(self):
+        h, b = Tensor(self.h), Tensor(self.beta)
+        assert grad_check(lambda g: self.loss(h, g, b),
+                          Tensor(self.gamma)) < 1e-6
+
+    def test_gradient_wrt_beta(self):
+        h, g = Tensor(self.h), Tensor(self.gamma)
+        assert grad_check(lambda b: self.loss(h, g, b),
+                          Tensor(self.beta)) < 1e-6
+
+
 class TestPool1d:
     def test_avg(self):
         out = tz.pool1d(Tensor(np.arange(1.0, 9.0).reshape(1, 1, 8)), "avg")

@@ -192,6 +192,33 @@ class TestTrain:
             tr.train(tiny_model_config(), train_config(), poisoned, None)
         assert failure.value.component == "cls"
 
+    def test_inf_gradient_aborts_before_the_update(self, monkeypatch):
+        # a finite loss whose gradient holds an inf: the step names the
+        # parameter and leaves every parameter as it was
+        source, _ = synth_pair(seed=9)
+        seen = {}
+        real_tensors, real_backward = mo.make_param_tensors, tr.backward
+
+        def capture(params, trainable=True):
+            seen["params"] = params
+            seen["before"] = {n: a.copy() for n, a in params.arrays.items()}
+            seen["tensors"] = real_tensors(params, trainable)
+            return seen["tensors"]
+
+        def poisoned(total):
+            real_backward(total)
+            seen["tensors"]["final.b"].grad = np.array([0.0, np.inf])
+
+        monkeypatch.setattr(mo, "make_param_tensors", capture)
+        monkeypatch.setattr(tr, "backward", poisoned)
+        with pytest.raises(NumericalAbort, match="final.b") as failure:
+            tr.train(tiny_model_config(), train_config(), source, None)
+        assert (failure.value.component, failure.value.epoch,
+                failure.value.step) == ("final.b", 0, 0)
+        params = seen["params"]
+        for name in params.trainable_names():
+            assert np.array_equal(params.arrays[name], seen["before"][name])
+
     def test_unlabeled_source_rejected(self):
         source, _ = synth_pair()
         unlabeled = da.TimeSeriesBatch(values=source.values, labels=None,
