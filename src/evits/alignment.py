@@ -162,7 +162,7 @@ def mmd_rbf(src, tgt, bandwidths=None):
         total += (np.exp(scale * d_ss).mean()
                   + np.exp(scale * d_tt).mean()
                   - 2.0 * np.exp(scale * d_st).mean())
-    return max(total, 0.0)
+    return max(float(total), 0.0)
 
 
 def _quantile_coupling_w1(a_sorted, b_sorted):

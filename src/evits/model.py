@@ -1,8 +1,11 @@
 """The end-to-end network: per-scale 1-D CNN backbones, the feature
 mixer, softmax plus auxiliary heads, and an evidential head.
 
-Each scale owns a backbone of conv -> batch-norm -> relu -> max-pool(2)
-blocks followed by global average pooling over time.  The mixed
+Each scale owns a backbone of conv -> batch-norm -> max-pool(2) -> relu
+blocks followed by global average pooling over time.  Pooling before relu
+is exact: relu is monotone, so relu(max(a, b)) = max(relu(a), relu(b)),
+and both orders send a pair's gradient to the same slot (or none, when
+both are negative); relu then touches half the elements.  The mixed
 (concatenated) feature feeds a softmax classifier head and an evidence
 head (softplus output); auxiliary softmax heads read the per-scale
 features when the multi-scale architecture is enabled.
@@ -174,7 +177,10 @@ def _batchnorm(h, gamma, beta, running_mean, running_var, train):
         running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
         return out
     scale = (gamma.data / np.sqrt(running_var + _BN_EPS))[:, None]
-    return Tensor((h.data - running_mean[:, None]) * scale + beta.data[:, None])
+    out = h.data - running_mean[:, None]
+    out *= scale
+    out += beta.data[:, None]
+    return Tensor(out)
 
 
 def forward(params, x, mode="train", rng=None, param_tensors=None):
@@ -210,8 +216,7 @@ def forward(params, x, mode="train", rng=None, param_tensors=None):
                 params.arrays[f"{prefix}.bn_running_mean"],
                 params.arrays[f"{prefix}.bn_running_var"],
                 train)
-            h = h.relu()
-            h = tz.pool1d(h, "max")
+            h = tz.pool1d(h, "max").relu()
         feat = h.mean(axis=2)  # global average pool -> [N, F]
         features.append(feat)
         if config.num_scales >= 1:

@@ -65,7 +65,7 @@ def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
     length = x.shape[2]
     if num_scales < 0:
         raise ConfigError("num_scales must be >= 0")
-    if length < 2 ** num_scales:
+    if length >> num_scales == 0:
         raise ConfigError(
             f"length {length} cannot support {num_scales} halvings"
         )

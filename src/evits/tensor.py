@@ -441,7 +441,7 @@ def conv1d(x, kernel, stride=1, padding=0):
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise ShapeError("conv1d expects x [N,Cin,T] and kernel [Cout,Cin,k]")
-    _, cin, t = x.data.shape
+    n, cin, t = x.data.shape
     cout, cin_k, k = kernel.data.shape
     if cin != cin_k:
         raise ShapeError(f"conv1d channel mismatch: input {cin}, kernel {cin_k}")
@@ -452,13 +452,16 @@ def conv1d(x, kernel, stride=1, padding=0):
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
     t_out = (t + 2 * padding - k) // stride + 1
-    # tap j: kernel column j and the input steps j, j + stride, ... it meets
-    taps = [(kernel.data[:, :, j], slice(j, j + stride * t_out, stride)) for j in range(k)]
-    out_data = 0.0  # one [Cout, Cin] @ [N, Cin, T'] product per tap, summed
-    for w_j, steps in taps:
-        out_data += w_j @ xp[:, :, steps]
+    # the unrolled window [N, Cin, k, T'] as a read-only view, then one
+    # [Cout, Cin*k] @ [N, Cin*k, T'] product (Chellapilla et al., 2006)
+    sn, sc, st = xp.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xp, (n, cin, k, t_out), (sn, sc, st, st * stride), writeable=False)
+    out_data = kernel.data.reshape(cout, cin * k) @ cols.reshape(n, cin * k, t_out)
 
     def bwd(g):
+        # tap j: kernel column j and the input steps j, j + stride, ... it meets
+        taps = [(kernel.data[:, :, j], slice(j, j + stride * t_out, stride)) for j in range(k)]
         if _tracked(kernel):
             gc = g.transpose(1, 0, 2).reshape(cout, -1)
             xc = np.ascontiguousarray(xp.transpose(1, 0, 2))  # [Cin, N, Tp]
@@ -478,21 +481,27 @@ def batchnorm(h, gamma, beta, eps):
     node with the closed-form backward (Ioffe & Szegedy, 2015).  Returns
     (out, batch mean [C], biased batch variance [C])."""
     h, gamma, beta = as_tensor(h), as_tensor(gamma), as_tensor(beta)
-    mean = h.data.mean(axis=(0, 2))
-    centered = h.data - mean[:, None]
-    var = (centered * centered).mean(axis=(0, 2))
+    count = h.data.size / h.data.shape[1]  # N * T samples per channel
+    mean = np.einsum("nct->c", h.data) / count
+    normalized = h.data - mean[:, None]  # centered, normalized in place below
+    var = np.einsum("nct,nct->c", normalized, normalized) / count
     inv_std = 1.0 / np.sqrt(var + eps)
-    normalized = centered * inv_std[:, None]
+    normalized *= inv_std[:, None]
 
     def bwd(g):
-        g_norm = (g * normalized).sum(axis=(0, 2))
-        g_sum = g.sum(axis=(0, 2))
+        g_norm = np.einsum("nct,nct->c", g, normalized)
+        g_sum = np.einsum("nct->c", g)
         _accumulate(gamma, g_norm)
         _accumulate(beta, g_sum)
-        _accumulate(h, (gamma.data * inv_std)[:, None] * (
-            g - (g_sum[:, None] + normalized * g_norm[:, None]) * (g.shape[1] / g.size)))
+        gh = normalized * g_norm[:, None]
+        gh += g_sum[:, None]
+        gh *= g.shape[1] / g.size
+        np.subtract(g, gh, out=gh)
+        gh *= (gamma.data * inv_std)[:, None]
+        _accumulate(h, gh)
 
-    out_data = gamma.data[:, None] * normalized + beta.data[:, None]
+    out_data = normalized * gamma.data[:, None]
+    out_data += beta.data[:, None]
     return _node(out_data, (h, gamma, beta), bwd, "batchnorm"), mean, var
 
 
@@ -526,9 +535,10 @@ def pool1d(x, kind, rng=None):
     else:
         if kind == "max":
             take_right = right > left  # ties pick the first slot, like argmax
+            out_data = np.maximum(left, right)
         else:
             take_right = rng.integers(0, 2, size=(n, c, t_out)).astype(bool)
-        out_data = np.where(take_right, right, left)
+            out_data = np.where(take_right, right, left)
         share_left, share_right = ~take_right, take_right
 
     def bwd(g):

@@ -1,3 +1,7 @@
+import csv
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +41,23 @@ def test_run_uda_fields_and_determinism():
     assert a.uncertainty_target == b.uncertainty_target
     assert 0.0 < a.uncertainty_target <= 1.0
     assert a.feature_mmd >= 0.0
+
+
+def test_feature_mmd_is_a_python_float(tmp_path):
+    result = ex.run_uda(quick_settings(epochs=1), seed=0, method="noadapt",
+                        evidential="none")
+    assert type(result.feature_mmd) is float
+    # the study script's CSV writes it with repr, so the column must parse
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_uda.py"
+    spec = importlib.util.spec_from_file_location("run_synthetic_uda", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "rows.csv"
+    assert script.main(["--seeds", "1", "--epochs", "1", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 7
+    assert all(float(r["feature_mmd"]) >= 0.0 for r in rows)
 
 
 def test_run_uda_multiscale_variant():

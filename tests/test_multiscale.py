@@ -76,6 +76,11 @@ class TestBuildScales:
         with pytest.raises(ConfigError):
             ms.build_scales(rand_series((1, 1, 6)), 3, "M")
 
+    def test_huge_scale_count_fails_at_once(self):
+        # a shift test: 2 ** num_scales would be a 2^40-bit integer
+        with pytest.raises(ConfigError):
+            ms.build_scales(rand_series((1, 1, 8)), 2 ** 40, "M")
+
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             ms.build_scales(rand_series((1, 1, 8)), 1, "Q")

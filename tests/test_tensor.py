@@ -65,10 +65,11 @@ def _im2col_conv1d(x, w, stride, padding):
     return (cols @ w.reshape(cout, -1).T).transpose(0, 2, 1)
 
 
-# (kernel, stride, padding, length): the backbone's three blocks, then the
-# L down-sample at an odd and an even length
-CONV_CASES = [(8, 1, 4, 16), (5, 1, 2, 16), (3, 1, 1, 16), (3, 2, 1, 15),
-              (3, 2, 1, 16)]
+# (kernel, stride, padding, length): the backbone's three blocks, the first
+# block again at another odd output length (15), then the L down-sample at
+# an odd and an even length
+CONV_CASES = [(8, 1, 4, 16), (5, 1, 2, 16), (3, 1, 1, 16), (8, 1, 4, 14),
+              (3, 2, 1, 15), (3, 2, 1, 16)]
 
 
 @pytest.mark.parametrize("k, stride, padding, length", CONV_CASES)
@@ -112,6 +113,23 @@ def test_conv1d_untracked_input_gets_no_gradient():
         assert (xt.grad is None) == (not tracked)
         grads.append(wt.grad)
     assert np.array_equal(grads[0], grads[1])
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 2])
+def test_conv1d_leaves_input_alone(stride, padding):
+    # the forward reads the input through a strided window view: the input
+    # keeps its values and the output is a fresh array
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, 2, 16))
+    w = rng.standard_normal((4, 2, 5))
+    before = x.copy()
+    xt = Tensor(x, requires_grad=True)
+    out = tz.conv1d(xt, Tensor(w), stride, padding)
+    assert not np.shares_memory(out.data, x)
+    backward(tz.tsum(out * out))
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(xt.grad, x)
 
 
 class TestBatchnorm:
@@ -178,6 +196,24 @@ class TestPool1d:
     def test_window_exceeds_length(self):
         with pytest.raises(ShapeError):
             tz.pool1d(Tensor(np.zeros((1, 1, 1))), "max")
+
+    def test_max_commutes_with_relu(self):
+        # pairs: tied positive, tied negative, both negative, mixed sign
+        # either way round, both positive; and an odd trailing step
+        h = np.array([[[1.5, 1.5, -2.0, -2.0, -1.0, -3.0, -0.5, 2.0,
+                        4.0, -1.0, 0.25, 0.75, -7.0],
+                       [-3.0, -1.0, 2.0, 2.0, 3.0, -3.0, -4.0, -4.0,
+                        0.5, 0.125, -0.5, 6.0, 9.0]]])
+        probe = Tensor(np.array([[[-1.0, 2.0, -3.0, 4.0, 5.0, -6.0],
+                                  [7.0, -8.0, 9.0, -1.5, 2.5, -3.5]]]))
+        results = []
+        for pool_first in (True, False):
+            ht = Tensor(h, requires_grad=True)
+            out = tz.pool1d(ht, "max").relu() if pool_first \
+                else tz.pool1d(ht.relu(), "max")
+            backward(tz.tsum(out * probe))
+            results.append((out.data.tobytes(), ht.grad.tobytes()))
+        assert results[0] == results[1]
 
     @given(hnp.arrays(np.float64, (2, 2, 12),
                       elements=st.floats(-10, 10)))
