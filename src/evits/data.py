@@ -135,6 +135,10 @@ def read_evts(path):
     if flag:
         labels = np.frombuffer(body, dtype="<i4", count=n,
                                offset=offset + values_bytes).copy()
+        bad = np.flatnonzero((labels < 0) | (labels >= k))
+        if bad.size:
+            raise FormatError(f"label {labels[bad[0]]} outside [0, {k})",
+                              offset=offset + values_bytes + 4 * int(bad[0]))
     return TimeSeriesBatch(values=values, labels=labels, num_classes=k)
 
 

@@ -5,7 +5,12 @@ Each scale owns a backbone of conv -> batch-norm -> max-pool(2) -> relu
 blocks followed by global average pooling over time.  Pooling before relu
 is exact: relu is monotone, so relu(max(a, b)) = max(relu(a), relu(b)),
 and both orders send a pair's gradient to the same slot (or none, when
-both are negative); relu then touches half the elements.  The mixed
+both are negative); relu then touches half the elements.  In eval mode
+batch-norm is the per-channel affine map s * (h - mean) + beta with
+s = gamma / sqrt(running_var + eps), and conv1d is linear in each output
+channel's kernel row, so it folds into the conv: kernel row c scaled by
+s[c], then beta - mean * s added (exact in real arithmetic, for any sign
+of gamma; only the rounding differs).  The mixed
 (concatenated) feature feeds a softmax classifier head and an evidence
 head (softplus output); auxiliary softmax heads read the per-scale
 features when the multi-scale architecture is enabled.
@@ -168,21 +173,6 @@ def make_param_tensors(params, trainable=True):
     return tensors
 
 
-def _batchnorm(h, gamma, beta, running_mean, running_var, train):
-    """Channel batch-norm on [N, C, T]: train mode normalizes with the batch statistics
-    and folds them into the running stats in place; eval mode records no tape node."""
-    if train:
-        out, mean, var = tz.batchnorm(h, gamma, beta, _BN_EPS)
-        running_mean[:] = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mean
-        running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
-        return out
-    scale = (gamma.data / np.sqrt(running_var + _BN_EPS))[:, None]
-    out = h.data - running_mean[:, None]
-    out *= scale
-    out += beta.data[:, None]
-    return Tensor(out)
-
-
 def forward(params, x, mode="train", rng=None, param_tensors=None):
     """Run the network; `mode` is "train" (batch statistics, folded into the
     running statistics; random pooling active) or "eval" (running
@@ -210,12 +200,18 @@ def forward(params, x, mode="train", rng=None, param_tensors=None):
         h = series
         for block, kernel in enumerate(config.kernel_sizes):
             prefix = f"scale{scale}.block{block}"
-            h = tz.conv1d(h, pt[f"{prefix}.conv_w"], stride=1, padding=kernel // 2)
-            h = _batchnorm(
-                h, pt[f"{prefix}.bn_gamma"], pt[f"{prefix}.bn_beta"],
-                params.arrays[f"{prefix}.bn_running_mean"],
-                params.arrays[f"{prefix}.bn_running_var"],
-                train)
+            w, gamma, beta = (pt[f"{prefix}.{n}"] for n in ("conv_w", "bn_gamma", "bn_beta"))
+            running_mean = params.arrays[f"{prefix}.bn_running_mean"]
+            running_var = params.arrays[f"{prefix}.bn_running_var"]
+            if train:  # batch statistics, folded into the running ones in place
+                h, mean, var = tz.batchnorm(tz.conv1d(h, w, stride=1, padding=kernel // 2),
+                                            gamma, beta, _BN_EPS)
+                running_mean[:] = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mean
+                running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
+            else:  # the running statistics' affine map, folded into the conv
+                s = gamma.data / np.sqrt(running_var + _BN_EPS)
+                h = tz.conv1d(h, w.data * s[:, None, None], stride=1, padding=kernel // 2)
+                h.data += (beta.data - running_mean * s)[:, None]
             h = tz.pool1d(h, "max").relu()
         feat = h.mean(axis=2)  # global average pool -> [N, F]
         features.append(feat)

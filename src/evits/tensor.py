@@ -432,6 +432,17 @@ def matmul(a, b):
 # -- convolution and pooling -----------------------------------------------------
 
 
+def _windows(a, k, length, stride):
+    """The unrolled window [N, C*k, length] of [N, C, T]: column i holds
+    steps stride*i ... stride*i + k - 1 of every channel, one copy of a
+    read-only `as_strided` view (Chellapilla et al., 2006)."""
+    n, c, _ = a.shape
+    sn, sc, st = a.strides
+    view = np.lib.stride_tricks.as_strided(
+        a, (n, c, k, length), (sn, sc, st, st * stride), writeable=False)
+    return view.reshape(n, c * k, length)
+
+
 def conv1d(x, kernel, stride=1, padding=0):
     """Batched 1-D cross-correlation with zero padding.
 
@@ -450,28 +461,26 @@ def conv1d(x, kernel, stride=1, padding=0):
     if t + 2 * padding < k:
         raise ShapeError("conv1d kernel longer than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+    if padding:  # a zero buffer with the input copied in
+        xp = np.zeros((n, cin, t + 2 * padding))
+        xp[:, :, padding:padding + t] = x.data
+    else:
+        xp = x.data
     t_out = (t + 2 * padding - k) // stride + 1
-    # the unrolled window [N, Cin, k, T'] as a read-only view, then one
-    # [Cout, Cin*k] @ [N, Cin*k, T'] product (Chellapilla et al., 2006)
-    sn, sc, st = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp, (n, cin, k, t_out), (sn, sc, st, st * stride), writeable=False)
-    out_data = kernel.data.reshape(cout, cin * k) @ cols.reshape(n, cin * k, t_out)
+    out_data = kernel.data.reshape(cout, cin * k) @ _windows(xp, k, t_out, stride)
 
     def bwd(g):
-        # tap j: kernel column j and the input steps j, j + stride, ... it meets
-        taps = [(kernel.data[:, :, j], slice(j, j + stride * t_out, stride)) for j in range(k)]
-        if _tracked(kernel):
-            gc = g.transpose(1, 0, 2).reshape(cout, -1)
-            xc = np.ascontiguousarray(xp.transpose(1, 0, 2))  # [Cin, N, Tp]
-            _accumulate(kernel, np.stack(
-                [gc @ xc[:, :, s].reshape(cin, -1).T for _, s in taps], axis=2))
+        if _tracked(kernel):  # the window is rebuilt here, so the tape keeps xp only
+            gw = np.matmul(g, _windows(xp, k, t_out, stride).transpose(0, 2, 1))
+            _accumulate(kernel, gw.sum(axis=0).reshape(cout, cin, k))
         if _tracked(x):
-            gxp = np.zeros_like(xp)
-            for w_j, steps in taps:
-                gxp[:, :, steps] += w_j.T @ g
-            _accumulate(x, gxp[:, :, padding:padding + t] if padding else gxp)
+            # the transposed convolution (Dumoulin & Visin, 2016): g spread
+            # to steps k - 1 + stride * i of a zero buffer, correlated with
+            # the flipped kernel over the unpadded input steps
+            gz = np.zeros((n, cout, xp.shape[2] + k - 1))
+            gz[:, :, k - 1:k - 1 + stride * t_out:stride] = g
+            flipped = kernel.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
+            _accumulate(x, flipped @ _windows(gz[:, :, padding:], k, t, 1))
 
     return _node(out_data, (x, kernel), bwd, "conv1d")
 

@@ -76,6 +76,40 @@ class TestEvtsContainer:
             da.read_evts(path)
         assert failure.value.offset is not None
 
+    def test_label_outside_classes_is_a_format_error(self, tmp_path):
+        import zlib
+        path = tmp_path / "l.evts"
+        da.write_evts(small_batch(), path)
+        body = bytearray(path.read_bytes()[:-4])
+        for label, slot in ((3, 2), (-1, 5)):
+            edited = bytearray(body)
+            edited[len(body) - 24 + 4 * slot:len(body) - 20 + 4 * slot] = \
+                label.to_bytes(4, "little", signed=True)
+            path.write_bytes(bytes(edited) + zlib.crc32(edited).to_bytes(4, "little"))
+            with pytest.raises(FormatError, match="outside") as failure:
+                da.read_evts(path)
+            assert failure.value.offset == len(body) - 24 + 4 * slot
+
+    def test_every_bit_flip_and_truncation_under_valid_checksum(self, tmp_path):
+        # each single-bit flip and each shorter length, CRC recomputed: the
+        # file loads, or it fails with a FormatError at an offset
+        import zlib
+        path = tmp_path / "s.evts"
+        da.write_evts(small_batch(), path)
+        body = path.read_bytes()[:-4]
+        flips = []
+        for bit in range(8 * len(body)):
+            flipped = bytearray(body)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            flips.append(bytes(flipped))
+        for variant in flips + [body[:length] for length in range(len(body))]:
+            path.write_bytes(variant + zlib.crc32(variant).to_bytes(4, "little"))
+            try:
+                with np.errstate(invalid="ignore"):  # a flipped float may be a NaN
+                    da.read_evts(path)
+            except FormatError as exc:
+                assert exc.offset is not None, variant
+
     @given(st.integers(1, 8), st.integers(1, 3), st.integers(2, 9),
            st.booleans(), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)

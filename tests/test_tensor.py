@@ -65,11 +65,26 @@ def _im2col_conv1d(x, w, stride, padding):
     return (cols @ w.reshape(cout, -1).T).transpose(0, 2, 1)
 
 
+def _per_tap_conv1d_grads(x, w, g, stride, padding):
+    # plain reference for the backward: tap j of the kernel meets the input
+    # steps j, j + stride, ...; one product per tap for each gradient
+    cout, cin, k = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    steps = [slice(j, j + stride * g.shape[2], stride) for j in range(k)]
+    gw = np.stack([np.einsum("not,nit->oi", g, xp[:, :, s]) for s in steps], axis=2)
+    gxp = np.zeros_like(xp)
+    for j, s in enumerate(steps):
+        gxp[:, :, s] += np.einsum("oi,not->nit", w[:, :, j], g)
+    return gxp[:, :, padding:padding + x.shape[2]], gw
+
+
 # (kernel, stride, padding, length): the backbone's three blocks, the first
-# block again at another odd output length (15), then the L down-sample at
-# an odd and an even length
+# block again at another odd output length (15), the L down-sample at an
+# odd and an even length, then stride 2 with no padding, padding above
+# k - 1, and stride 3
 CONV_CASES = [(8, 1, 4, 16), (5, 1, 2, 16), (3, 1, 1, 16), (8, 1, 4, 14),
-              (3, 2, 1, 15), (3, 2, 1, 16)]
+              (3, 2, 1, 15), (3, 2, 1, 16), (3, 2, 0, 16), (2, 1, 3, 16),
+              (4, 3, 0, 15)]
 
 
 @pytest.mark.parametrize("k, stride, padding, length", CONV_CASES)
@@ -78,7 +93,7 @@ class TestConv1dAgainstReference:
         rng = np.random.default_rng(5)
         self.x = rng.standard_normal((3, 2, 16))
         self.weights = rng.standard_normal((4, 2, 8))
-        self.probe = rng.standard_normal((3, 4, 17))
+        self.probe = rng.standard_normal((3, 4, 21))
 
     def operands(self, k, length):
         return self.x[:, :, :length], self.weights[:, :, :k]
@@ -99,6 +114,16 @@ class TestConv1dAgainstReference:
 
         assert grad_check(lambda xv: loss(xv, Tensor(w)), Tensor(x)) < 1e-6
         assert grad_check(lambda wv: loss(Tensor(x), wv), Tensor(w)) < 1e-6
+
+    def test_gradients_against_per_tap_reference(self, k, stride, padding, length):
+        x, w = self.operands(k, length)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = tz.conv1d(xt, wt, stride, padding)
+        probe = self.probe[:, :, :out.shape[2]]
+        backward(tz.tsum(out * Tensor(probe)))
+        gx, gw = _per_tap_conv1d_grads(x, w, probe, stride, padding)
+        np.testing.assert_allclose(xt.grad, gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(wt.grad, gw, rtol=1e-12, atol=1e-12)
 
 
 def test_conv1d_untracked_input_gets_no_gradient():
