@@ -82,13 +82,13 @@ class TestEvtsContainer:
         da.write_evts(small_batch(), path)
         body = bytearray(path.read_bytes()[:-4])
         for label, slot in ((3, 2), (-1, 5)):
+            at = len(body) - 4 * 6 + 4 * slot  # the six int32 labels end the body
             edited = bytearray(body)
-            edited[len(body) - 24 + 4 * slot:len(body) - 20 + 4 * slot] = \
-                label.to_bytes(4, "little", signed=True)
+            edited[at:at + 4] = label.to_bytes(4, "little", signed=True)
             path.write_bytes(bytes(edited) + zlib.crc32(edited).to_bytes(4, "little"))
             with pytest.raises(FormatError, match="outside") as failure:
                 da.read_evts(path)
-            assert failure.value.offset == len(body) - 24 + 4 * slot
+            assert failure.value.offset == at
 
     def test_every_bit_flip_and_truncation_under_valid_checksum(self, tmp_path):
         # each single-bit flip and each shorter length, CRC recomputed: the
