@@ -4,7 +4,11 @@ Class evidence e >= 0 parameterizes a Dirichlet over the probability
 simplex via alpha = e + 1, so zero evidence is the uniform prior.  The
 three Bayesian-risk losses, the misleading-evidence KL regularizer and
 the annealed total are all closed forms in alpha and differentiate
-through the tape, so they can sit directly in a training objective.
+through the tape, so they can sit directly in a training objective
+(Sensoy et al., 2018).  The two terms built on the log-gamma family, the
+CE risk and the KL, are one tape node each with a closed-form backward:
+the forward runs each special function once on alpha and its row totals
+stacked, and the backward makes one `trigamma` call.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .special import lgamma as lgamma_value
-from .tensor import Tensor, as_tensor
+from .special import digamma, lgamma, trigamma
+from .tensor import Tensor, _accumulate, _node, as_tensor
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,22 @@ def loss_ml(batch, labels):
 
 
 def loss_ce(batch, labels):
-    """Per-sample Bayesian risk of cross-entropy: sum_k y_k (psi(S) - psi(alpha_k))."""
+    """Per-sample Bayesian risk of cross-entropy: sum_k y_k (psi(S) - psi(alpha_k)).
+
+    One tape node; d/d alpha_k = (sum_j y_j) psi1(S) - y_k psi1(alpha_k).
+    """
     _check_pair(batch, labels)
-    dg_s = batch.total_evidence.digamma().reshape((-1, 1))
-    gaps = Tensor(labels.one_hot) * (dg_s - batch.alpha.digamma())
-    return gaps.sum(axis=1)
+    alpha, y = batch.alpha, labels.one_hot
+    stacked = _with_totals(alpha.data)
+    dg_alpha, dg_total, _ = _split(digamma(stacked), alpha.shape)
+    out = (y * (dg_total - dg_alpha)).sum(axis=1)
+
+    def bwd(g):
+        tg_alpha, tg_total, _ = _split(trigamma(stacked), alpha.shape)
+        grad = y.sum(axis=1, keepdims=True) * tg_total - y * tg_alpha
+        _accumulate(alpha, g[:, None] * grad)
+
+    return _node(out, (alpha,), bwd, "loss_ce")
 
 
 def loss_mse(batch, labels):
@@ -132,19 +147,32 @@ def alpha_tilde(batch, labels):
 
 
 def kl_to_uniform(alpha_t):
-    """KL( Dir(alpha~) || Dir(1) ), the misleading-evidence penalty."""
+    """KL( Dir(alpha~) || Dir(1) ), the misleading-evidence penalty.
+
+    One tape node; d/d alpha~_k = (alpha~_k - 1) psi1(alpha~_k)
+    - (S~ - K) psi1(S~).
+    """
     alpha_t = as_tensor(alpha_t)
     if alpha_t.ndim != 2:
         raise ShapeError("alpha~ must be [N, K]")
     if np.any(alpha_t.data < 1.0 - 1e-9):
         raise DomainError("alpha~ entries must be >= 1")
     num_classes = alpha_t.shape[1]
-    total = alpha_t.sum(axis=1)
-    dg_total = total.digamma().reshape((-1, 1))
-    out = total.lgamma() - float(lgamma_value(float(num_classes)))
-    out = out - alpha_t.lgamma().sum(axis=1)
-    out = out + ((alpha_t - 1.0) * (alpha_t.digamma() - dg_total)).sum(axis=1)
-    return out
+    # lnGamma(K) rides along in the stack: one call per special function
+    stacked = _with_totals(alpha_t.data, num_classes)
+    dg_alpha, dg_total, _ = _split(digamma(stacked), alpha_t.shape)
+    lg_alpha, lg_total, lg_k = _split(lgamma(stacked), alpha_t.shape)
+    out = lg_total[:, 0] - lg_k[0]
+    out = out - lg_alpha.sum(axis=1)
+    out = out + ((alpha_t.data - 1.0) * (dg_alpha - dg_total)).sum(axis=1)
+
+    def bwd(g):
+        tg_alpha, tg_total, _ = _split(trigamma(stacked), alpha_t.shape)
+        excess = alpha_t.data.sum(axis=1, keepdims=True) - num_classes  # S~ - K
+        grad = (alpha_t.data - 1.0) * tg_alpha - excess * tg_total
+        _accumulate(alpha_t, g[:, None] * grad)
+
+    return _node(out, (alpha_t,), bwd, "kl_to_uniform")
 
 
 def evidential_total(batch, labels, schedule, kind):
@@ -168,3 +196,15 @@ def _check_pair(batch, labels):
         raise ShapeError(
             f"labels {labels.one_hot.shape} do not match alpha {batch.alpha.shape}"
         )
+
+
+def _with_totals(alpha, *extra):
+    """alpha [N, K], its row totals [N] and `extra`, flat in one array."""
+    return np.concatenate([alpha.reshape(-1), alpha.sum(axis=1), extra])
+
+
+def _split(values, shape):
+    """Undo `_with_totals`: ([N, K] part, [N, 1] totals, the extra tail)."""
+    size = shape[0] * shape[1]
+    return (values[:size].reshape(shape), values[size:size + shape[0], None],
+            values[size + shape[0]:])

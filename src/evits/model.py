@@ -27,7 +27,7 @@ import numpy as np
 from . import multiscale as ms
 from . import tensor as tz
 from .data import FrameReader, pack_u32, write_framed
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .evidential import evidence_to_alpha, predict_mean, uncertainty
 from .tensor import Tensor
 
@@ -241,6 +241,9 @@ def predict(params, values, head="auto"):
         head = params.train_meta.get("primary_head", "evidential")
     if head not in ("evidential", "softmax"):
         raise ConfigError(f"unknown prediction head {head!r}")
+    finite = np.isfinite(np.asarray(values, dtype=np.float64))
+    if finite.ndim and not finite.all():  # else the evidence gets the blame
+        raise DomainError(f"input row {np.argwhere(~finite)[0, 0]} holds NaN or inf")
     out = forward(params, values, mode="eval")
     dirichlet = evidence_to_alpha(out.evidence)
     u = uncertainty(dirichlet).data

@@ -2,9 +2,9 @@
 
 The supported primitive set is exactly what the model and losses need:
 elementwise arithmetic with numpy broadcasting, matmul, relu / softplus /
-exp / log, the log-gamma family, reductions, reshape / transpose /
-concatenation / cropping, 1-D convolution (cross-correlation, zero
-padding), batch-norm and 1-D pooling.  Applying an operation records the
+exp / log, reductions, reshape / transpose / concatenation / cropping,
+1-D convolution (cross-correlation, zero padding), batch-norm and 1-D
+pooling.  Applying an operation records the
 node on the implicit tape; ``backward`` on a scalar output replays it and
 accumulates one gradient array per reachable tensor.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import special
 from .errors import ConfigError, ContractError, DomainError, ShapeError
 
 
@@ -100,12 +99,6 @@ class Tensor:
 
     def log(self):
         return log(self)
-
-    def lgamma(self):
-        return lgamma(self)
-
-    def digamma(self):
-        return digamma(self)
 
     def backward(self):
         backward(self)
@@ -282,26 +275,6 @@ def softplus(a):
         _accumulate(a, g * _sigmoid(a.data))
 
     return _node(out_data, (a,), bwd, "softplus")
-
-
-def lgamma(a):
-    a = as_tensor(a)
-    out_data = special.lgamma(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * special.digamma(a.data))
-
-    return _node(np.asarray(out_data), (a,), bwd, "lgamma")
-
-
-def digamma(a):
-    a = as_tensor(a)
-    out_data = special.digamma(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * special.trigamma(a.data))
-
-    return _node(np.asarray(out_data), (a,), bwd, "digamma")
 
 
 def clip_min(a, floor):

@@ -202,6 +202,17 @@ class TestEval:
         assert run_cli("eval", "--model", str(model), "--data",
                        str(path)) == 2
 
+    def test_non_finite_data_exits_2_naming_the_row(self, trained, tmp_path,
+                                                     capsys):
+        source, target, model = trained
+        batch = da.read_evts(target)
+        batch.values[4, 0, 7] = np.nan
+        path = tmp_path / "poisoned.evts"
+        da.write_evts(batch, path)
+        assert run_cli("eval", "--model", str(model), "--data", str(path),
+                       "--out-dir", str(tmp_path / "e")) == 2
+        assert "input row 4 holds NaN or inf" in capsys.readouterr().err
+
     def test_overfit_then_eval_reaches_one(self, tmp_path):
         run_cli("gen-data", "--out-dir", str(tmp_path), "--classes", "2",
                 "--channels", "1", "--length", "32", "--n-per-class", "4",

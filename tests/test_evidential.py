@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from evits import evidential as ev
 from evits.errors import ConfigError, DomainError, ShapeError
-from evits.tensor import Tensor, grad_check
+from evits.special import digamma, lgamma, trigamma
+from evits.tensor import Tensor, backward, grad_check
 
 LN2 = math.log(2.0)
 
@@ -273,3 +274,97 @@ def test_kl_gradient_matches_finite_differences():
     for _ in range(20):
         alpha_t = Tensor(rng.uniform(1.05, 4.0, (3, 4)))
         assert grad_check(lambda a: ev.kl_to_uniform(a).sum(), alpha_t) < 1e-4
+
+
+def _chain_ce(alpha, y, g):
+    # plain reference: the composed chain the tape ran before the fused
+    # node, value sum_k y_k (psi(S) - psi(alpha_k)) and the gradient of
+    # sum_i g_i L_i summed over its two paths, psi(alpha) and S
+    total = alpha.sum(axis=1)
+    value = (y * (digamma(total)[:, None] - digamma(alpha))).sum(axis=1)
+    via_alpha = -g[:, None] * y * trigamma(alpha)
+    via_total = (g[:, None] * y).sum(axis=1) * trigamma(total)
+    return value, via_alpha + via_total[:, None]
+
+
+def _chain_kl(alpha, g):
+    # plain reference for KL(Dir(alpha) || Dir(1)) as the tape composed it:
+    # lnG(S) - lnG(K) - sum lnG(alpha) + sum (alpha - 1)(psi(alpha) - psi(S)),
+    # its gradient summed over the paths lnG(S), lnG(alpha), the factor
+    # alpha - 1, psi(alpha) and psi(S)
+    total = alpha.sum(axis=1)
+    gap = digamma(alpha) - digamma(total)[:, None]
+    value = lgamma(total) - lgamma(float(alpha.shape[1]))
+    value = value - lgamma(alpha).sum(axis=1)
+    value = value + ((alpha - 1.0) * gap).sum(axis=1)
+    via_total = digamma(total) - ((alpha - 1.0) * trigamma(total)[:, None]).sum(axis=1)
+    via_alpha = -digamma(alpha) + gap + (alpha - 1.0) * trigamma(alpha)
+    return value, g[:, None] * (via_alpha + via_total[:, None])
+
+
+def _assert_close(got, want):
+    # relative per entry, as the gradient suites measure it
+    gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert gap.max() <= 1e-12, gap.max()
+
+
+# alpha regimes: near 1 (the uniform prior, entries exactly 1 included),
+# moderate, and large (a confident head; the climb is idle there)
+ALPHA_RANGES = {"near_one": (1.0, 1.0 + 1e-6), "moderate": (1.0, 6.0),
+                "large": (60.0, 900.0)}
+
+
+@pytest.mark.parametrize("regime", sorted(ALPHA_RANGES))
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+class TestFusedNodesAgainstChain:
+    def setup_method(self):
+        self.rng = np.random.default_rng(12)
+
+    def operands(self, k, regime):
+        alpha = self.rng.uniform(*ALPHA_RANGES[regime], size=(4, k))
+        if regime == "near_one":
+            alpha[0, 0] = alpha[2, :] = 1.0
+        y = labels(self.rng.integers(0, k, 4), k)
+        return alpha, y, self.rng.standard_normal(4)
+
+    def test_loss_ce(self, k, regime):
+        alpha, y, g = self.operands(k, regime)
+        leaf = Tensor(alpha, requires_grad=True)
+        out = ev.loss_ce(ev.DirichletBatch(leaf), y)
+        backward((out * Tensor(g)).sum())
+        value, grad = _chain_ce(alpha, y.one_hot, g)
+        _assert_close(out.data, value)
+        _assert_close(leaf.grad, grad)
+
+    def test_kl_to_uniform(self, k, regime):
+        alpha, _, g = self.operands(k, regime)
+        leaf = Tensor(alpha, requires_grad=True)
+        out = ev.kl_to_uniform(leaf)
+        backward((out * Tensor(g)).sum())
+        value, grad = _chain_kl(alpha, g)
+        _assert_close(out.data, value)
+        _assert_close(leaf.grad, grad)
+
+    @pytest.mark.parametrize("epoch", [0, 10])  # KL coefficient 0 and 1
+    def test_evidential_total(self, k, regime, epoch):
+        alpha, y, _ = self.operands(k, regime)
+        schedule = ev.AnnealSchedule(epoch)
+        leaf = Tensor(alpha, requires_grad=True)
+        out = ev.evidential_total(ev.DirichletBatch(leaf), y, schedule, "ce")
+        backward(out)
+        ones = np.ones(len(alpha))
+        value, grad = _chain_ce(alpha, y.one_hot, ones)
+        coeff = schedule.coefficient()
+        if coeff:
+            tilde = y.one_hot + (1.0 - y.one_hot) * alpha
+            kl_value, kl_grad = _chain_kl(tilde, ones)
+            value = value.sum() + coeff * kl_value.sum()
+            grad = grad + coeff * (1.0 - y.one_hot) * kl_grad
+        _assert_close(out.data, np.sum(value))
+        _assert_close(leaf.grad, grad)
+
+
+def test_fused_nodes_keep_untracked_inputs_off_the_tape():
+    alpha = Tensor(np.array([[2.0, 1.5], [1.0, 3.0]]))
+    assert ev.kl_to_uniform(alpha)._parents == ()
+    assert ev.loss_ce(ev.DirichletBatch(alpha), labels([0, 1], 2))._parents == ()

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from evits import checks
 from evits import model as mo
 from evits import tensor as tz
-from evits.errors import ConfigError, FormatError, ShapeError, ToolkitError
+from evits.errors import (ConfigError, DomainError, FormatError, ShapeError,
+                          ToolkitError)
 from evits.evidential import evidence_to_alpha, predict_mean
 from evits.tensor import Tensor
 
@@ -191,6 +193,16 @@ class TestPredict:
         params = mo.init(tiny_config())
         with pytest.raises(ConfigError):
             mo.predict(params, np.zeros((1, 2, 32)), head="both")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_the_first_row(self, bad):
+        params = mo.init(tiny_config())
+        x = np.zeros((5, 2, 32))
+        x[3, 0, 0] = x[2, 1, 31] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any op warns
+            with pytest.raises(DomainError, match="input row 2 holds NaN or inf"):
+                mo.predict(params, x)
 
 
 class TestSerialization:

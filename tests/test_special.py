@@ -67,12 +67,46 @@ def test_trigamma_recurrence(x):
     assert abs(trigamma(x + 1.0) - trigamma(x) + 1.0 / x ** 2) < 1e-10
 
 
-def test_vectorized_matches_scalar():
-    xs = np.array([[0.5, 1.5], [2.5, 40.0]])
-    out = lgamma(xs)
-    assert out.shape == xs.shape
-    for index in np.ndindex(*xs.shape):
-        assert out[index] == lgamma(float(xs[index]))
+def _climb_grid():
+    # every climb count m = clip(ceil(10 - x), 0, 10) from 0 to 10: the
+    # integers 1..10, one ulp either side of each, points between them,
+    # and the far ends of the domain
+    ints = np.arange(1.0, 11.0)
+    xs = np.concatenate([ints, np.nextafter(ints, 0.0), np.nextafter(ints, 20.0),
+                         ints - 0.3, [1e-5, 1e-3, 0.02, 12.0, 1234.5, 1e6]])
+    return xs
+
+
+def test_climb_grid_hits_every_count():
+    counts = np.clip(np.ceil(10.0 - _climb_grid()), 0, 10)
+    assert set(counts) == set(range(11))
+
+
+@pytest.mark.parametrize("fn", [lgamma, digamma, trigamma])
+def test_vectorized_matches_scalar(fn):
+    # bit for bit: an element's value does not depend on its neighbours,
+    # the array's shape or where in the array it sits
+    xs = _climb_grid()
+    out = fn(xs.reshape(2, -1))
+    assert out.shape == (2, xs.size // 2)
+    flat = out.reshape(-1)
+    for i, x in enumerate(xs):
+        assert flat[i] == fn(float(x))
+    order = np.random.default_rng(0).permutation(xs.size)
+    assert np.array_equal(fn(xs[order]), flat[order])
+
+
+CUTOFF_POINTS = [np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0),
+                 9.0, 9.5, 10.5, 11.0]
+
+
+@pytest.mark.parametrize("x", CUTOFF_POINTS)
+def test_near_cutoff_against_high_precision(x):
+    for fn, want, floor in ((lgamma, mpmath.loggamma(x), 1e-12),
+                            (digamma, mpmath.digamma(x), 1e-10),
+                            (trigamma, mpmath.polygamma(1, x), 1e-10)):
+        want = float(want)
+        assert abs(fn(x) - want) <= max(floor, 4.0 * np.spacing(abs(want)))
 
 
 @pytest.mark.parametrize("fn", [lgamma, digamma, trigamma])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from evits import evidential as ev
 from evits import tensor as tz
 from evits.errors import ConfigError, ContractError, ShapeError
 from evits.tensor import Tensor, backward, grad_check
@@ -314,9 +315,13 @@ def _composite_builders():
         return fn, (20,)
 
     def gamma_chain(rng):
+        # the fused evidential CE and KL nodes behind a softplus
+        y = ev.LabelBatch.from_labels(rng.integers(0, 3, 2), 3)
+
         def fn(x):
-            shifted = tz.softplus(x) + 0.5
-            return tz.tsum(tz.lgamma(shifted) + tz.digamma(shifted + 1.0))
+            alpha = tz.softplus(x).reshape((2, 3)) + 1.0
+            risk = ev.loss_ce(ev.DirichletBatch(alpha), y)
+            return tz.tsum(risk + ev.kl_to_uniform(alpha))
         return fn, (6,)
 
     def norm_chain(rng):
