@@ -362,9 +362,3 @@ class TestFusedNodesAgainstChain:
             grad = grad + coeff * (1.0 - y.one_hot) * kl_grad
         _assert_close(out.data, np.sum(value))
         _assert_close(leaf.grad, grad)
-
-
-def test_fused_nodes_keep_untracked_inputs_off_the_tape():
-    alpha = Tensor(np.array([[2.0, 1.5], [1.0, 3.0]]))
-    assert ev.kl_to_uniform(alpha)._parents == ()
-    assert ev.loss_ce(ev.DirichletBatch(alpha), labels([0, 1], 2))._parents == ()
