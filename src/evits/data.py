@@ -1,4 +1,4 @@
-"""Dataset container, CSV ingestion, stratified splitting and the seeded
+"""Dataset container, stratified splitting and the seeded
 synthetic domain-shift generator.
 
 Storage is 32-bit (files stay small); computation is 64-bit.  The EVTS
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError, ParseError
+from .errors import ConfigError, DomainError, FormatError
 
 EVTS_MAGIC = b"EVTS"
 EVTS_VERSION = 1
@@ -140,67 +140,6 @@ def read_evts(path):
             raise FormatError(f"label {labels[bad[0]]} outside [0, {k})",
                               offset=offset + values_bytes + 4 * int(bad[0]))
     return TimeSeriesBatch(values=values, labels=labels, num_classes=k)
-
-
-def read_csv(path, channels, length, num_classes=None):
-    """Rows of C*T values (channel-major) with an optional trailing label.
-
-    A non-numeric first line is treated as a header.  Every data row must
-    agree on the presence of the label column; ragged rows are rejected
-    with their line number.
-    """
-    per_row = channels * length
-    rows, labels = [], []
-    labeled = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if line_no == 1:
-                try:
-                    float(tokens[0])
-                except ValueError:
-                    continue  # header
-            if len(tokens) == per_row:
-                row_labeled = False
-            elif len(tokens) == per_row + 1:
-                row_labeled = True
-            else:
-                raise ParseError(
-                    f"line {line_no}: expected {per_row} values "
-                    f"(+ optional label), found {len(tokens)}")
-            if labeled is None:
-                labeled = row_labeled
-            elif labeled != row_labeled:
-                raise ParseError(f"line {line_no}: inconsistent label column")
-            try:
-                numbers = [float(t) for t in tokens[:per_row]]
-                if row_labeled:
-                    labels.append(int(tokens[per_row]))
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}: {exc}") from exc
-            rows.append(numbers)
-    if not rows:
-        raise ParseError("no data rows found")
-    values = np.asarray(rows, dtype=np.float64).reshape(-1, channels, length)
-    if labeled:
-        label_arr = np.asarray(labels, dtype=np.int32)
-        k = num_classes if num_classes is not None else int(label_arr.max()) + 1
-        return TimeSeriesBatch(values=values, labels=label_arr, num_classes=k)
-    return TimeSeriesBatch(values=values, labels=None,
-                           num_classes=num_classes or 0)
-
-
-def write_csv(batch, path):
-    n, c, t = batch.values.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(n):
-            cells = [repr(float(v)) for v in batch.values[i].reshape(-1)]
-            if batch.labeled:
-                cells.append(str(int(batch.labels[i])))
-            fh.write(",".join(cells) + "\n")
 
 
 def split(batch, train_fraction, seed):

@@ -40,7 +40,7 @@ class FormatError(ToolkitError):
 
 
 class ParseError(ToolkitError, ValueError):
-    """A text input (CSV, config file) could not be parsed."""
+    """A text input (a config file) could not be parsed."""
 
 
 class NumericalAbort(ToolkitError):

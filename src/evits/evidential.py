@@ -58,15 +58,23 @@ class LabelBatch:
         return self.one_hot.shape[1]
 
 
+def _require_range(values, floor, message):
+    """Raise DomainError(message) unless every entry is finite and >= floor."""
+    if values.size and not (values.min() >= floor and values.max() < np.inf):
+        raise DomainError(message)  # a NaN fails both comparisons
+
+
 class DirichletBatch:
     """Per-sample Dirichlet concentrations with derived evidence totals."""
 
     def __init__(self, alpha):
         alpha = as_tensor(alpha)
+        _require_range(alpha.data, 1.0 - 1e-9, "alpha entries must be finite and >= 1")
+        self._adopt(alpha)
+
+    def _adopt(self, alpha):  # alpha already checked
         if alpha.ndim != 2:
             raise ShapeError("alpha must be [N, K]")
-        if np.any(alpha.data < 1.0 - 1e-9) or not np.all(np.isfinite(alpha.data)):
-            raise DomainError("alpha entries must be finite and >= 1")
         self.alpha = alpha
         self.num_classes = alpha.shape[1]
         self._total = None
@@ -79,11 +87,15 @@ class DirichletBatch:
 
 
 def evidence_to_alpha(evidence):
-    """Map non-negative evidence to Dirichlet parameters alpha = evidence + 1."""
+    """Map non-negative evidence to Dirichlet parameters alpha = evidence + 1.
+
+    The evidence is checked once; finite e >= 0 gives finite alpha >= 1, so
+    the batch skips its own check of alpha."""
     evidence = as_tensor(evidence)
-    if np.any(evidence.data < 0.0) or not np.all(np.isfinite(evidence.data)):
-        raise DomainError("evidence must be non-negative and finite")
-    return DirichletBatch(evidence + 1.0)
+    _require_range(evidence.data, 0.0, "evidence must be non-negative and finite")
+    batch = DirichletBatch.__new__(DirichletBatch)
+    batch._adopt(evidence + 1.0)
+    return batch
 
 
 def predict_mean(batch):

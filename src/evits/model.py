@@ -5,12 +5,17 @@ Each scale owns a backbone of conv -> batch-norm -> max-pool(2) -> relu
 blocks followed by global average pooling over time.  Pooling before relu
 is exact: relu is monotone, so relu(max(a, b)) = max(relu(a), relu(b)),
 and both orders send a pair's gradient to the same slot (or none, when
-both are negative); relu then touches half the elements.  In eval mode
-batch-norm is the per-channel affine map s * (h - mean) + beta with
+both are negative); relu then touches half the elements.  In train mode
+the block's tail is one tape node, `tensor.batchnorm_pool_relu`.  In eval
+mode batch-norm is the per-channel affine map s * (h - mean) + beta with
 s = gamma / sqrt(running_var + eps), and conv1d is linear in each output
-channel's kernel row, so it folds into the conv: kernel row c scaled by
-s[c], then beta - mean * s added (exact in real arithmetic, for any sign
-of gamma; only the rounding differs).  The mixed
+channel's kernel row, so the scale folds into the conv: kernel row c
+scaled by s[c] (exact in real arithmetic, for any sign of gamma; only the
+rounding differs).  The raw conv output is then max-pooled, and only the
+half-size result gets the bias beta - mean * s and relu, in place.
+Pooling before the bias is exact in floating point too: fl(a + b) never
+decreases as a grows, so max(fl(l + b), fl(r + b)) = fl(max(l, r) + b).
+The eval path builds no masks and no tape nodes.  The mixed
 (concatenated) feature feeds a softmax classifier head and an evidence
 head (softplus output); auxiliary softmax heads read the per-scale
 features when the multi-scale architecture is enabled.
@@ -204,16 +209,19 @@ def forward(params, x, mode="train", rng=None, param_tensors=None):
             running_mean = params.arrays[f"{prefix}.bn_running_mean"]
             running_var = params.arrays[f"{prefix}.bn_running_var"]
             if train:  # batch statistics, folded into the running ones in place
-                h, mean, var = tz.batchnorm(tz.conv1d(h, w, stride=1, padding=kernel // 2),
-                                            gamma, beta, _BN_EPS)
+                h, mean, var = tz.batchnorm_pool_relu(
+                    tz.conv1d(h, w, stride=1, padding=kernel // 2), gamma, beta, _BN_EPS)
                 running_mean[:] = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mean
                 running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
-            else:  # the running statistics' affine map, folded into the conv
+            else:  # scale folded into the conv; pool, then bias and relu in place
                 s = gamma.data / np.sqrt(running_var + _BN_EPS)
-                h = tz.conv1d(h, w.data * s[:, None, None], stride=1, padding=kernel // 2)
-                h.data += (beta.data - running_mean * s)[:, None]
-            h = tz.pool1d(h, "max").relu()
-        feat = h.mean(axis=2)  # global average pool -> [N, F]
+                h = tz.conv1d(h, w.data * s[:, None, None], stride=1,
+                              padding=kernel // 2).data
+                t = h.shape[2] // 2
+                h = np.maximum(h[:, :, 0:2 * t:2], h[:, :, 1:2 * t:2])
+                h += (beta.data - running_mean * s)[:, None]
+                np.maximum(h, 0.0, out=h)
+        feat = tz.tmean(h, axis=2)  # global average pool -> [N, F]
         features.append(feat)
         if config.num_scales >= 1:
             aux_logits.append(

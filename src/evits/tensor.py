@@ -3,10 +3,11 @@
 The supported primitive set is exactly what the model and losses need:
 elementwise arithmetic with numpy broadcasting, matmul, relu / softplus /
 exp / log, reductions, reshape / transpose / concatenation / cropping,
-1-D convolution (cross-correlation, zero padding), batch-norm and 1-D
-pooling.  Applying an operation records the
-node on the implicit tape; ``backward`` on a scalar output replays it and
-accumulates one gradient array per reachable tensor.
+1-D convolution (cross-correlation, zero padding), 1-D pooling and a
+backbone block's batch-norm -> max-pool -> relu tail as one node.
+Applying an operation records the node on the implicit tape; ``backward``
+on a scalar output replays it and accumulates one gradient array per
+reachable tensor.
 
 Everything is value-semantic and deterministic: random pooling takes an
 explicit ``numpy.random.Generator`` and reproduces bit-identical output
@@ -458,33 +459,60 @@ def conv1d(x, kernel, stride=1, padding=0):
     return _node(out_data, (x, kernel), bwd, "conv1d")
 
 
-def batchnorm(h, gamma, beta, eps):
-    """Channel batch-norm of [N, C, T] with the batch statistics, as one tape
-    node with the closed-form backward (Ioffe & Szegedy, 2015).  Returns
-    (out, batch mean [C], biased batch variance [C])."""
+def batchnorm_pool_relu(h, gamma, beta, eps):
+    """A backbone block's tail on [N, C, T] as one tape node: channel
+    batch-norm with the batch statistics, window-2 stride-2 max-pool over
+    time (ties pick the first slot, an odd trailing step is dropped, as in
+    `pool1d`), then relu.  Returns (out [N, C, T // 2], batch mean [C],
+    biased batch variance [C]).
+
+    The tape keeps the normalized input and two half-size masks: which
+    slot of each pair won, and where the pooled value is positive.  The
+    backward sends the gradient through both masks into the batch-norm
+    closed form (Ioffe & Szegedy, 2015).  This is exact against the chain
+    of separate batch-norm, `pool1d("max")` and `relu` nodes: each value
+    takes the chain's float operations in the chain's order, and the
+    gradients the masks stop enter the same full-size batch-norm sums as
+    exact zeros, so outputs and gradients match bit for bit.  Only the
+    sign of a zero differs: relu gives +0.0 where the chain gave -0.0.
+    """
     h, gamma, beta = as_tensor(h), as_tensor(gamma), as_tensor(beta)
-    count = h.data.size / h.data.shape[1]  # N * T samples per channel
+    n, c, t = h.data.shape
+    if t < 2:
+        raise ShapeError(f"pool window 2 exceeds time extent {t}")
+    t_out = t // 2
+    count = h.data.size / c  # N * T samples per channel
     mean = np.einsum("nct->c", h.data) / count
     normalized = h.data - mean[:, None]  # centered, normalized in place below
     var = np.einsum("nct,nct->c", normalized, normalized) / count
     inv_std = 1.0 / np.sqrt(var + eps)
     normalized *= inv_std[:, None]
+    left, right = (normalized[:, :, i:2 * t_out:2] * gamma.data[:, None]
+                   for i in (0, 1))
+    left += beta.data[:, None]
+    right += beta.data[:, None]
+    take_right = right > left
+    out_data = np.maximum(left, right, out=left)
+    positive = out_data > 0.0
+    np.maximum(out_data, 0.0, out=out_data)
 
     def bwd(g):
-        g_norm = np.einsum("nct,nct->c", g, normalized)
-        g_sum = np.einsum("nct->c", g)
+        gy = np.empty((n, c, t))
+        gy[:, :, 2 * t_out:] = 0.0  # an odd trailing step
+        g_left = np.multiply(g, positive, out=gy[:, :, 0:2 * t_out:2])
+        g_left -= np.multiply(g_left, take_right, out=gy[:, :, 1:2 * t_out:2])
+        g_norm = np.einsum("nct,nct->c", gy, normalized)
+        g_sum = np.einsum("nct->c", gy)
         _accumulate(gamma, g_norm)
         _accumulate(beta, g_sum)
         gh = normalized * g_norm[:, None]
         gh += g_sum[:, None]
-        gh *= g.shape[1] / g.size
-        np.subtract(g, gh, out=gh)
+        gh *= c / gy.size
+        np.subtract(gy, gh, out=gh)
         gh *= (gamma.data * inv_std)[:, None]
         _accumulate(h, gh)
 
-    out_data = normalized * gamma.data[:, None]
-    out_data += beta.data[:, None]
-    return _node(out_data, (h, gamma, beta), bwd, "batchnorm"), mean, var
+    return _node(out_data, (h, gamma, beta), bwd, "batchnorm_pool_relu"), mean, var
 
 
 POOL_KINDS = ("max", "avg", "random")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evits import data as da
-from evits.errors import ConfigError, DomainError, FormatError, ParseError
+from evits.errors import ConfigError, DomainError, FormatError
 
 
 def small_batch(n=6, c=2, t=5, labeled=True, seed=0):
@@ -129,45 +129,6 @@ class TestEvtsContainer:
         finally:
             os.unlink(path)
         assert np.array_equal(back.values, batch.values)
-
-
-class TestCsv:
-    def test_labeled(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1.0,2.0,3.0,4.0,1\n5.0,6.0,7.0,8.0,0\n")
-        batch = da.read_csv(path, 1, 4)
-        assert batch.values.shape == (2, 1, 4)
-        assert batch.labels.tolist() == [1, 0]
-
-    def test_unlabeled(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0\n")
-        batch = da.read_csv(path, 1, 4)
-        assert batch.labels is None
-
-    def test_header_skipped(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("a,b,c,d\n1.0,2.0,3.0,4.0\n")
-        assert len(da.read_csv(path, 1, 4)) == 1
-
-    def test_ragged_row_names_line(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1.0,2.0,3.0,4.0\n1.0,2.0,3.0\n")
-        with pytest.raises(ParseError, match="line 2"):
-            da.read_csv(path, 1, 4)
-
-    def test_csv_evts_csv_preserves_32bit(self, tmp_path):
-        batch = small_batch(seed=7)
-        csv_a = tmp_path / "a.csv"
-        da.write_csv(batch, csv_a)
-        first = da.read_csv(csv_a, 2, 5)
-        evts = tmp_path / "a.evts"
-        da.write_evts(first, evts)
-        csv_b = tmp_path / "b.csv"
-        da.write_csv(da.read_evts(evts), csv_b)
-        second = da.read_csv(csv_b, 2, 5)
-        assert np.array_equal(
-            first.values.astype(np.float32), second.values.astype(np.float32))
 
 
 class TestSplit:

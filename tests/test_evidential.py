@@ -41,10 +41,37 @@ class TestEvidenceToAlpha:
         assert batch.total_evidence.data[0] == 4.0
         assert ev.uncertainty(batch).data[0] == 0.5
 
-    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [-0.1, -1e-12, float("nan"), float("inf")])
     def test_rejects_invalid_evidence(self, bad):
-        with pytest.raises(DomainError):
+        # -1e-12 gives alpha within the batch's 1e-9 tolerance of 1, so only
+        # the evidence check can catch it
+        with pytest.raises(DomainError, match="evidence must be non-negative and finite"):
             ev.evidence_to_alpha(np.array([[0.0, bad]]))
+
+    @pytest.mark.parametrize("bad", [0.5, float("nan"), float("inf"), -float("inf")])
+    def test_batch_rejects_invalid_alpha(self, bad):
+        with pytest.raises(DomainError, match="alpha entries must be finite and >= 1"):
+            ev.DirichletBatch(np.array([[1.0, bad]]))
+
+    def test_batch_accepts_alpha_within_tolerance(self):
+        batch = ev.DirichletBatch(np.array([[1.0 - 1e-10, 2.0]]))
+        assert batch.num_classes == 2
+
+    def test_evidence_is_checked_once(self, monkeypatch):
+        calls = []
+        check = ev._require_range
+        monkeypatch.setattr(ev, "_require_range",
+                            lambda *args: calls.append(args[2]) or check(*args))
+        ev.evidence_to_alpha(np.ones((3, 4)))
+        assert calls == ["evidence must be non-negative and finite"]
+        ev.DirichletBatch(np.ones((3, 4)))
+        assert calls[1:] == ["alpha entries must be finite and >= 1"]
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ShapeError):
+            ev.evidence_to_alpha(np.ones(3))
+        with pytest.raises(ShapeError):
+            ev.DirichletBatch(np.ones(3))
 
 
 class TestPredictMean:

@@ -133,8 +133,10 @@ class TestForward:
 
     def test_eval_batchnorm_fold_matches_unfolded_reference(self):
         # random affine maps, one gamma negative: eval forward (batch-norm
-        # folded into the conv) against conv -> batch-norm -> pool -> relu
-        # -> heads written out here
+        # scale folded into the conv, pooling before the bias) against
+        # conv -> batch-norm -> pool -> relu -> heads written out here; in
+        # the second input row 0 is constant, so away from the padded edges
+        # every block's pairs tie
         cfg = tiny_config(num_scales=0, variant=None)
         params, rng = mo.init(cfg), np.random.default_rng(11)
         for block in range(3):
@@ -144,27 +146,30 @@ class TestForward:
             bn["beta"][:] = rng.standard_normal(4)
             bn["running_mean"][:] = rng.standard_normal(4)
             bn["running_var"][:] = rng.uniform(0.2, 3.0, 4)
-        x = rng.standard_normal((7, 2, 32))
-        h = x
-        for block, k in enumerate(cfg.kernel_sizes):
-            a = {n: params.arrays[f"scale0.block{block}.{n}"] for n in
-                 ("conv_w", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var")}
-            h = tz.conv1d(Tensor(h), Tensor(a["conv_w"]), 1, k // 2).data
-            h = ((h - a["bn_running_mean"][:, None])
-                 / np.sqrt(a["bn_running_var"][:, None] + 1e-5)
-                 * a["bn_gamma"][:, None] + a["bn_beta"][:, None])
-            t = h.shape[2] // 2
-            h = np.maximum(np.maximum(h[:, :, 0:2 * t:2], h[:, :, 1:2 * t:2]), 0.0)
-        feat = h.mean(axis=2)
-        logits = feat @ params.arrays["final.w"] + params.arrays["final.b"]
-        evidence = np.logaddexp(0.0, feat @ params.arrays["evidence.w"]
-                                + params.arrays["evidence.b"])
-        out = mo.forward(params, x, mode="eval")
-        np.testing.assert_allclose(out.final_logits.data, logits, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out.evidence.data, evidence, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(mo.predict(params, x, "softmax")[0], logits.argmax(axis=1))
-        assert np.array_equal(mo.predict(params, x, "evidential")[0],
-                              evidence.argmax(axis=1))
+        random = rng.standard_normal((7, 2, 32))
+        tied = random.copy()
+        tied[0] = 0.75
+        for x in (random, tied):
+            h = x
+            for block, k in enumerate(cfg.kernel_sizes):
+                a = {n: params.arrays[f"scale0.block{block}.{n}"] for n in
+                     ("conv_w", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var")}
+                h = tz.conv1d(Tensor(h), Tensor(a["conv_w"]), 1, k // 2).data
+                h = ((h - a["bn_running_mean"][:, None])
+                     / np.sqrt(a["bn_running_var"][:, None] + 1e-5)
+                     * a["bn_gamma"][:, None] + a["bn_beta"][:, None])
+                t = h.shape[2] // 2
+                h = np.maximum(np.maximum(h[:, :, 0:2 * t:2], h[:, :, 1:2 * t:2]), 0.0)
+            feat = h.mean(axis=2)
+            logits = feat @ params.arrays["final.w"] + params.arrays["final.b"]
+            evidence = np.logaddexp(0.0, feat @ params.arrays["evidence.w"]
+                                    + params.arrays["evidence.b"])
+            out = mo.forward(params, x, mode="eval")
+            np.testing.assert_allclose(out.final_logits.data, logits, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out.evidence.data, evidence, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(mo.predict(params, x, "softmax")[0], logits.argmax(axis=1))
+            assert np.array_equal(mo.predict(params, x, "evidential")[0],
+                                  evidence.argmax(axis=1))
 
     def test_eval_mode_leaves_running_stats(self):
         params = mo.init(tiny_config())

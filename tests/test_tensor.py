@@ -158,26 +158,61 @@ def test_conv1d_leaves_input_alone(stride, padding):
     assert not np.shares_memory(xt.grad, x)
 
 
+def _bn_pool_relu_chain(h, gamma, beta, eps, g):
+    # plain reference: the separate batch-norm -> pool1d("max") -> relu
+    # nodes, in their float operations and order; returns the output, the
+    # batch mean and variance, and the gradients of h, gamma and beta for
+    # the output gradient g
+    n, c, t = h.shape
+    count = h.size / c
+    mean = np.einsum("nct->c", h) / count
+    centered = h - mean[:, None]
+    var = np.einsum("nct,nct->c", centered, centered) / count
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normalized = centered * inv_std[:, None]
+    y = normalized * gamma[:, None] + beta[:, None]
+    half = t // 2
+    left, right = y[:, :, 0:2 * half:2], y[:, :, 1:2 * half:2]
+    take_right = right > left
+    pooled = np.maximum(left, right)
+    positive = pooled > 0.0
+    out = pooled * positive
+    g_pooled = g * positive
+    gy = np.zeros((n, c, t))
+    gy[:, :, 0:2 * half:2] = g_pooled * ~take_right
+    gy[:, :, 1:2 * half:2] = g_pooled * take_right
+    g_gamma = np.einsum("nct,nct->c", gy, normalized)
+    g_beta = np.einsum("nct->c", gy)
+    gh = (normalized * g_gamma[:, None] + g_beta[:, None]) * (c / gy.size)
+    gh = (gy - gh) * (gamma * inv_std)[:, None]
+    return out, mean, var, gh, g_gamma, g_beta
+
+
 class TestBatchnorm:
+    # batchnorm_pool_relu: a backbone block's batch-norm, max-pool and relu
+    # as one node; gamma has a negative entry, and channel 2 (small gamma,
+    # beta -5) is negative everywhere before relu
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.h = rng.standard_normal((4, 3, 5)) * 2.0 + 1.0
-        self.gamma = rng.uniform(0.5, 1.5, 3)
-        self.beta = rng.standard_normal(3)
-        self.probe = rng.standard_normal((4, 3, 5))
+        self.gamma = np.array([1.3, -0.8, 0.1])
+        self.beta = np.array([0.2, -0.3, -5.0])
+        self.probe = rng.standard_normal((4, 3, 2))
 
     def loss(self, h, gamma, beta):
-        out, _, _ = tz.batchnorm(h, gamma, beta, 1e-5)
+        out, _, _ = tz.batchnorm_pool_relu(h, gamma, beta, 1e-5)
         return tz.tsum(out * Tensor(self.probe))
 
     def test_statistics(self):
-        out, mean, var = tz.batchnorm(Tensor(self.h), Tensor(self.gamma),
-                                      Tensor(self.beta), 1e-5)
+        out, mean, var = tz.batchnorm_pool_relu(
+            Tensor(self.h), Tensor(self.gamma), Tensor(self.beta), 1e-5)
         np.testing.assert_allclose(mean, self.h.mean(axis=(0, 2)), rtol=1e-12)
         np.testing.assert_allclose(var, self.h.var(axis=(0, 2)), rtol=1e-12)
-        normalized = (out.data - self.beta[:, None]) / self.gamma[:, None]
-        np.testing.assert_allclose(normalized.mean(axis=(0, 2)), 0.0,
-                                   atol=1e-12)
+        y = ((self.h - mean[:, None]) / np.sqrt(var[:, None] + 1e-5)
+             * self.gamma[:, None] + self.beta[:, None])
+        expected = np.maximum(np.maximum(y[:, :, 0:4:2], y[:, :, 1:4:2]), 0.0)
+        assert out.shape == (4, 3, 2)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
 
     def test_gradient_wrt_input(self):
         g, b = Tensor(self.gamma), Tensor(self.beta)
@@ -192,6 +227,30 @@ class TestBatchnorm:
         h, g = Tensor(self.h), Tensor(self.gamma)
         assert grad_check(lambda b: self.loss(h, g, b),
                           Tensor(self.beta)) < 1e-6
+
+    @pytest.mark.parametrize("length", [8, 9, 129])
+    def test_matches_chain_bit_for_bit(self, length):
+        # odd lengths drop the trailing step (block 0's conv output has 129);
+        # steps 2 and 3 tie in every channel, and so do 6 and 7 in row 0
+        rng = np.random.default_rng(length)
+        h = rng.standard_normal((4, 3, length)) * 2.0 + 1.0
+        h[:, :, 3] = h[:, :, 2]
+        h[0, :, 7] = h[0, :, 6]
+        g = rng.standard_normal((4, 3, length // 2))
+        ht, gt, bt = (Tensor(a, requires_grad=True) for a in (h, self.gamma, self.beta))
+        out, mean, var = tz.batchnorm_pool_relu(ht, gt, bt, 1e-5)
+        backward(tz.tsum(out * Tensor(g)))
+        expected = _bn_pool_relu_chain(h, self.gamma, self.beta, 1e-5, g)
+        for got, want in zip((out.data, mean, var, ht.grad, gt.grad, bt.grad), expected):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        # relu gives +0.0, where the chain's x * mask gave -0.0
+        assert np.all(out.data[:, 2] == 0.0) and not np.signbit(out.data).any()
+
+    def test_window_exceeds_length(self):
+        with pytest.raises(ShapeError):
+            tz.batchnorm_pool_relu(Tensor(np.zeros((2, 1, 1))), Tensor(np.ones(1)),
+                                   Tensor(np.zeros(1)), 1e-5)
 
 
 class TestPool1d:
