@@ -6,8 +6,9 @@ blocks followed by global average pooling over time.  Pooling before relu
 is exact: relu is monotone, so relu(max(a, b)) = max(relu(a), relu(b)),
 and both orders send a pair's gradient to the same slot (or none, when
 both are negative); relu then touches half the elements.  In train mode
-the block's tail is one tape node, `tensor.batchnorm_pool_relu`.  In eval
-mode batch-norm is the per-channel affine map s * (h - mean) + beta with
+the block's tail is one tape node, `tensor.batchnorm_pool_relu`, which
+makes the separate nodes' float operations in their order and so matches
+them bit for bit.  In eval mode batch-norm is the per-channel affine map s * (h - mean) + beta with
 s = gamma / sqrt(running_var + eps), and conv1d is linear in each output
 channel's kernel row, so the scale folds into the conv: kernel row c
 scaled by s[c] (exact in real arithmetic, for any sign of gamma; only the
