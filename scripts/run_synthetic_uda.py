@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""Run the desk-scale synthetic UDA study and print the directional summary.
+"""Run the desk-scale synthetic UDA study and print its verdicts.
 
 Trains every benchmark configuration (methods x {plain, evidential-CE},
 extra shift strengths for the uncertainty correlation, plus the
-multi-scale max-pool arm) and reports, per direction, how often the
-uncertainty-aware model wins.  Writes one CSV row per run when --out is
-given.
+multi-scale max-pool arm) and prints `experiments.verdicts`: one PASS or
+FAIL line per sub-claim of acceptance criteria 5 and 6, the same lines the
+acceptance test prints.  Writes one CSV row per run when --out is given.
 """
 
 import argparse
+import dataclasses
 import sys
 
-import numpy as np
-
 from evits import experiments as ex
-from evits import metrics as me
 
 
 def main(argv=None):
@@ -40,44 +38,17 @@ def main(argv=None):
     outcome = ex.run_benchmark(settings, seeds=range(args.seeds),
                                progress=progress)
 
-    print("\n=== directional summary ===")
-    for method in ("noadapt", "ddc"):
-        plain = outcome.rows(method, "none")
-        evi = outcome.rows(method, "ce")
-        f1_wins = sum(e.target_f1 > p.target_f1 for e, p in zip(evi, plain))
-        ece_wins = sum(e.target_ece <= p.target_ece_softmax
-                       for e, p in zip(evi, plain))
-        print(f"{method}: evidential F1 wins {f1_wins}/{len(plain)} "
-              f"(mean {np.mean([e.target_f1 for e in evi]):.3f} vs "
-              f"{np.mean([p.target_f1 for p in plain]):.3f}), "
-              f"ECE wins {ece_wins}/{len(plain)}")
-    evi_rows = outcome.rows("noadapt", "ce")
-    u_wins = sum(r.uncertainty_target > r.uncertainty_source
-                 for r in evi_rows)
-    print(f"uncertainty gap (noadapt+ce): {u_wins}/{len(evi_rows)} seeds")
-    f1s, us = ex.correlation_rows(outcome)
-    print(f"Spearman(target F1, mean uncertainty) over {len(f1s)} runs: "
-          f"{me.spearman(f1s, us):.3f}")
-    multi = outcome.rows("ddc", "none", "M")
-    base = outcome.rows("ddc", "none")
-    mmd_wins = sum(m.feature_mmd < b.feature_mmd
-                   for m, b in zip(multi, base))
-    print(f"multi-scale M lowers feature MMD: {mmd_wins}/{len(multi)} seeds")
+    print("\n=== verdicts ===")
+    for verdict in ex.verdicts(outcome):
+        print(verdict.line())
 
     if args.out:
-        header = ("seed,method,evidential,variant,shift_strength,target_f1,"
-                  "target_ece,target_f1_softmax,target_ece_softmax,"
-                  "uncertainty_source,uncertainty_target,feature_mmd")
-        lines = [header]
-        for rows in outcome.runs.values():
-            for r in rows:
-                lines.append(
-                    f"{r.seed},{r.method},{r.evidential},"
-                    f"{r.variant or 'none'},{r.shift_strength},"
-                    f"{r.target_f1!r},{r.target_ece!r},"
-                    f"{r.target_f1_softmax!r},{r.target_ece_softmax!r},"
-                    f"{r.uncertainty_source!r},{r.uncertainty_target!r},"
-                    f"{r.feature_mmd!r}")
+        names = [f.name for f in dataclasses.fields(ex.RunResult)
+                 if f.name != "wall_clock"]
+        lines = [",".join(names)] + [
+            ",".join("none" if c is None else c if isinstance(c, str) else repr(c)
+                     for c in (getattr(r, name) for name in names))
+            for rows in outcome.runs.values() for r in rows]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"rows written to {args.out}")

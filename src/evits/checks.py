@@ -18,7 +18,6 @@ from .evidential import (
     evidence_to_alpha,
     kl_to_uniform,
 )
-from .multiscale import default_aux_weights
 from .tensor import Tensor, backward, central_difference_error, grad_check
 from .trainer import LossWeights, combined_loss
 
@@ -91,13 +90,12 @@ def end_to_end_suite(seed=0, step=1e-5):
     labels = LabelBatch.from_labels(rng.integers(0, 2, 4), 2)
     weights = LossWeights(lambda1=1.0, lambda2=1.0, lambda3=1.0)
     schedule = AnnealSchedule(epoch=12)
-    aux = default_aux_weights(config.num_scales)
 
     def loss_value(tensors):
         fwd_s = mo.forward(params, x_src, mode="train", param_tensors=tensors)
         fwd_t = mo.forward(params, x_tgt, mode="train", param_tensors=tensors)
         return combined_loss(fwd_s, fwd_t, labels, weights, schedule,
-                             "ce", "ddc", aux)[0]
+                             "ce", "ddc")[0]
 
     tensors = mo.make_param_tensors(params)
     backward(loss_value(tensors))

@@ -39,10 +39,6 @@ class FormatError(ToolkitError):
         self.offset = offset
 
 
-class ParseError(ToolkitError, ValueError):
-    """A text input (a config file) could not be parsed."""
-
-
 class NumericalAbort(ToolkitError):
     """Training produced a non-finite loss or gradient; names the first one."""
 

@@ -10,8 +10,11 @@ scales all three deviations at once (0 = no shift).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import alignment, data as da, metrics as me, model as mo, trainer as tr
 
@@ -112,14 +115,9 @@ def run_uda(settings, seed, method, evidential, variant=None,
     params, _ = tr.train(model_config, train_config, src_train, tgt_train)
 
     k = settings.num_classes
-    pred_e, probs_e, u_tgt = mo.predict(params, target.values,
-                                        head="evidential")
+    pred_p, probs_p, u_tgt = mo.predict(params, target.values)
     pred_s, probs_s, _ = mo.predict(params, target.values, head="softmax")
-    _, _, u_src = mo.predict(params, source.values, head="evidential")
-    if params.train_meta["primary_head"] == "evidential":
-        pred_p, probs_p = pred_e, probs_e
-    else:
-        pred_p, probs_p = pred_s, probs_s
+    _, _, u_src = mo.predict(params, source.values)
 
     feats_src = mo.forward(params, source.values, mode="eval").mixed.data
     feats_tgt = mo.forward(params, target.values, mode="eval").mixed.data
@@ -183,11 +181,57 @@ def run_benchmark(settings=None, seeds=range(10), methods=("noadapt", "ddc"),
     return outcome
 
 
-def correlation_rows(outcome, shift_strengths=(0.5, 1.0, 1.5)):
-    """(target F1, mean target uncertainty) across evidential noadapt runs."""
-    f1s, uncertainties = [], []
-    for strength in shift_strengths:
-        for row in outcome.rows("noadapt", "ce", None, strength):
-            f1s.append(row.target_f1)
-            uncertainties.append(row.uncertainty_target)
-    return f1s, uncertainties
+@dataclass(frozen=True)
+class Verdict:
+    """One sub-claim of criteria 5 and 6 on a study: per seed the (left, right)
+    pair it compares, or one value per run; the win count (an int), gap, rho
+    or seconds; the fixed bar; and whether it holds."""
+
+    claim: str
+    values: tuple
+    statistic: float
+    threshold: str
+    passed: bool
+
+    def line(self):
+        stat = self.statistic
+        stat = f"{stat}/{len(self.values)}" if isinstance(stat, int) else f"{stat:.4g}"
+        values = " ".join("/".join(f"{x:.3g}" for x in np.atleast_1d(v))
+                          for v in self.values)
+        return (f"{'PASS' if self.passed else 'FAIL'} {self.claim}: {stat} "
+                f"(needs {self.threshold}) [{values}]")
+
+
+def verdicts(outcome):
+    """Criteria 5 and 6, sub-claim by sub-claim, on a `run_benchmark` outcome."""
+    methods = ("noadapt", "ddc")
+    plain, evi = ([outcome.rows(m, kind) for m in methods] for kind in ("none", "ce"))
+
+    def wins(claim, pairs, beats, need):
+        count = sum(bool(beats(a, b)) for a, b in pairs)
+        return Verdict(claim, tuple(pairs), count, f">= {need}", count >= need)
+
+    f1_avg = [tuple(float(np.mean([r.target_f1 for r in rows])) for rows in (e, p))
+              for e, p in zip(zip(*evi), zip(*plain))]
+    gap = float(np.mean([r.target_f1 for rows in evi for r in rows])
+                - np.mean([r.target_f1 for rows in plain for r in rows]))
+    table = [wins("5(a) method-average target F1, CE > plain", f1_avg, operator.gt, 6),
+             Verdict("5(a) mean target F1, CE - plain", tuple(f1_avg), gap, "> 0", gap > 0)]
+    table += [wins(f"5(b) {m} target ECE, CE <= plain", [(e.target_ece, p.target_ece)
+                   for e, p in zip(e_rows, p_rows)], operator.le, 6)
+              for m, e_rows, p_rows in zip(methods, evi, plain)]
+    table.append(wins("5(c) noadapt+CE mean u, target > source", [
+        (r.uncertainty_target, r.uncertainty_source) for r in evi[0]], operator.gt, 8))
+    runs = [(r.target_f1, r.uncertainty_target)
+            for s in (0.5, 1.0, 1.5) for r in outcome.rows("noadapt", "ce", None, s)]
+    rho = me.spearman(*zip(*runs))
+    table.append(Verdict("5(d) Spearman rho(target F1, u), noadapt+CE", tuple(runs), rho,
+                         "<= -0.3 over >= 30 runs", len(runs) >= 30 and rho <= -0.3))
+    seconds = tuple(r.wall_clock for k, rows in outcome.runs.items() if k[2] is None
+                    for r in rows)
+    table.append(Verdict("5 runtime of the single-scale runs, s", seconds, sum(seconds),
+                         "<= 600", sum(seconds) <= 600.0))
+    table.append(wins("6 ddc feature MMD, M < single-scale", [
+        (m.feature_mmd, b.feature_mmd) for m, b in zip(
+            outcome.rows("ddc", "none", "M"), outcome.rows("ddc", "none"))], operator.lt, 6))
+    return table

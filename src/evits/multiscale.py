@@ -8,8 +8,6 @@ variants (L, LM) carry trainable parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import tensor as tz
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, as_tensor
@@ -18,24 +16,6 @@ VARIANTS = ("L", "LM", "M", "A", "R")
 
 DOWNSAMPLE_KERNEL = 3
 DOWNSAMPLE_PADDING = 1
-
-
-@dataclass
-class AuxWeights:
-    """Per-scale weights on the auxiliary classification terms."""
-
-    values: list = field(default_factory=lambda: [0.5, 0.25, 0.25])
-
-    def __post_init__(self):
-        if any(w < 0 for w in self.values):
-            raise ConfigError("auxiliary weights must be non-negative")
-
-
-def default_aux_weights(num_scales):
-    """One weight per scale: 0.5 for the base scale, 0.25 per reduced level."""
-    if num_scales < 1:
-        return AuxWeights(values=[])
-    return AuxWeights(values=[0.5] + [0.25] * num_scales)
 
 
 def conv_reduction_levels(num_scales, variant):
@@ -132,15 +112,10 @@ def softmax_cross_entropy(logits, labels):
     return per_sample.mean()
 
 
-def aux_classification_loss(final_logits, aux_logits, labels, weights):
-    """Final-head cross-entropy plus the weighted sum of auxiliary heads."""
-    values = weights.values if isinstance(weights, AuxWeights) else list(weights)
-    if len(aux_logits) != len(values):
-        raise ConfigError(
-            f"{len(aux_logits)} auxiliary heads but {len(values)} weights"
-        )
+def aux_classification_loss(final_logits, aux_logits, labels):
+    """Final-head cross-entropy plus the auxiliary heads', weighted 0.5 for
+    the base scale and 0.25 for each reduced scale."""
     total = softmax_cross_entropy(final_logits, labels)
-    for weight, logits in zip(values, aux_logits):
-        if weight != 0.0:
-            total = total + weight * softmax_cross_entropy(logits, labels)
+    for scale, logits in enumerate(aux_logits):
+        total = total + (0.25 if scale else 0.5) * softmax_cross_entropy(logits, labels)
     return total

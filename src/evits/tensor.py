@@ -92,12 +92,6 @@ class Tensor:
     def relu(self):
         return relu(self)
 
-    def softplus(self):
-        return softplus(self)
-
-    def exp(self):
-        return exp(self)
-
     def log(self):
         return log(self)
 

@@ -24,7 +24,7 @@ from .evidential import (
     evidence_to_alpha,
     evidential_total,
 )
-from .multiscale import aux_classification_loss, default_aux_weights
+from .multiscale import aux_classification_loss
 from .tensor import backward
 
 EVIDENTIAL_KINDS = ("none",) + tuple(LOSSES)
@@ -141,8 +141,7 @@ class _ComponentFailure(ToolkitError):
         self.component = component
 
 
-def combined_loss(fwd_src, fwd_tgt, labels, weights, schedule, evidential_kind,
-                  method, aux_weights):
+def combined_loss(fwd_src, fwd_tgt, labels, weights, schedule, evidential_kind, method):
     """Assemble total = l1 * L_cls + l2 * L_d + l3 * (L_evi / N).
 
     Classification and evidential terms use the source only; the domain
@@ -150,8 +149,7 @@ def combined_loss(fwd_src, fwd_tgt, labels, weights, schedule, evidential_kind,
     tape node and the unweighted component breakdown.
     """
     try:
-        loss = aux_classification_loss(
-            fwd_src.final_logits, fwd_src.aux_logits, labels, aux_weights)
+        loss = aux_classification_loss(fwd_src.final_logits, fwd_src.aux_logits, labels)
     except DomainError as exc:
         raise _ComponentFailure("cls") from exc
     cls_value = float(loss.data)
@@ -277,7 +275,6 @@ def train(model_config, train_config, source, target, source_val=None):
     pool_rng = np.random.default_rng(seeds[2])
 
     optimizer = _AdamState(params, train_config)
-    aux_weights = default_aux_weights(model_config.num_scales)
     needs_target = train_config.method != "noadapt" \
         and train_config.weights.lambda2 != 0.0
     target_sampler = _CyclingSampler(len(target), target_rng) \
@@ -308,7 +305,7 @@ def train(model_config, train_config, source, target, source_val=None):
             try:
                 total, breakdown = combined_loss(
                     fwd_src, fwd_tgt, yb, train_config.weights, schedule,
-                    train_config.evidential, train_config.method, aux_weights)
+                    train_config.evidential, train_config.method)
             except _ComponentFailure as exc:
                 raise NumericalAbort(exc.component, epoch, step) from exc
             _finite_check(asdict(breakdown), epoch, step)

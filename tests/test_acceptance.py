@@ -2,8 +2,8 @@
 with its measured values (run with -s or look at captured stdout).
 
 The desk-scale UDA study (criteria 5 and 6) trains 70 small models once
-per session via a shared fixture; directional claims are then checked
-against the stated win counts.
+per session via a shared fixture; `experiments.verdicts` works out every
+sub-claim, the test prints each one, then fails listing all that failed.
 """
 
 import math
@@ -122,76 +122,21 @@ def benchmark_outcome():
     return ex.run_benchmark(ex.BenchmarkSettings(), seeds=range(10))
 
 
+def _check_study_criterion(number, name, outcome):
+    table = [v for v in ex.verdicts(outcome) if v.claim.startswith(str(number))]
+    for verdict in table:
+        print(verdict.line())
+    failed = [verdict.line() for verdict in table if not verdict.passed]
+    assert not failed, "failed claims:\n" + "\n".join(failed)
+    _report(number, name, f"all {len(table)} sub-claims hold")
+
+
 def test_criterion_5_desk_scale_uda_directions(benchmark_outcome):
-    outcome = benchmark_outcome
-    core_runtime = 0.0
-    details = []
-
-    # (a) evidential-CE improves target macro-F1: the compared quantity is
-    # the across-method average (the Table-I-style AVG claim), per seed and
-    # on the mean; per-method win counts are reported alongside
-    plain_by_method = {m: outcome.rows(m, "none") for m in ("noadapt", "ddc")}
-    evi_by_method = {m: outcome.rows(m, "ce") for m in ("noadapt", "ddc")}
-    for method in ("noadapt", "ddc"):
-        core_runtime += sum(r.wall_clock for r in
-                            plain_by_method[method] + evi_by_method[method])
-    avg_wins = 0
-    for seed_index in range(10):
-        plain_avg = np.mean([plain_by_method[m][seed_index].target_f1
-                             for m in plain_by_method])
-        evi_avg = np.mean([evi_by_method[m][seed_index].target_f1
-                           for m in evi_by_method])
-        avg_wins += evi_avg > plain_avg
-    mean_gap = (np.mean([r.target_f1 for rows in evi_by_method.values()
-                         for r in rows])
-                - np.mean([r.target_f1 for rows in plain_by_method.values()
-                           for r in rows]))
-    assert avg_wins >= 6, f"(a): method-average F1 wins {avg_wins}/10"
-    assert mean_gap > 0.0, f"(a): mean gap {mean_gap}"
-    per_method = {m: sum(e.target_f1 > p.target_f1 for e, p in
-                         zip(evi_by_method[m], plain_by_method[m]))
-                  for m in plain_by_method}
-    details.append(f"a: {avg_wins}/10 (+{mean_gap:.3f}; per-method "
-                   + ", ".join(f"{m}={w}/10" for m, w in per_method.items())
-                   + ")")
-
-    # (b) evidential ECE at most the softmax baseline's, per method
-    for method in ("noadapt", "ddc"):
-        plain = outcome.rows(method, "none")
-        evi = outcome.rows(method, "ce")
-        wins = sum(e.target_ece <= p.target_ece
-                   for e, p in zip(evi, plain))
-        assert wins >= 6, f"(b) {method}: ECE wins {wins}/10"
-        details.append(f"b/{method}: {wins}/10")
-
-    # (c) target uncertainty above source uncertainty (noadapt+ce, Fig. 8 setting)
-    evi = outcome.rows("noadapt", "ce")
-    u_wins = sum(r.uncertainty_target > r.uncertainty_source for r in evi)
-    assert u_wins >= 8, f"(c): uncertainty gap in {u_wins}/10 seeds"
-    details.append(f"c: {u_wins}/10")
-
-    # (d) run-level F1 vs mean uncertainty anticorrelation over >= 30 runs
-    f1s, uncertainties = ex.correlation_rows(outcome)
-    for strength in (0.5, 1.5):
-        core_runtime += sum(r.wall_clock for r in
-                            outcome.rows("noadapt", "ce", None, strength))
-    assert len(f1s) >= 30
-    rho = me.spearman(f1s, uncertainties)
-    assert rho <= -0.3, f"(d): spearman {rho}"
-    details.append(f"d: rho={rho:.3f} over {len(f1s)} runs")
-
-    assert core_runtime <= 600.0, f"runtime {core_runtime:.0f} s > 10 min"
-    details.append(f"runtime={core_runtime:.0f}s")
-    _report(5, "desk-scale UDA directions", "; ".join(details))
+    _check_study_criterion(5, "desk-scale UDA directions", benchmark_outcome)
 
 
 def test_criterion_6_multiscale_reduces_feature_mmd(benchmark_outcome):
-    outcome = benchmark_outcome
-    multi = outcome.rows("ddc", "none", "M")
-    base = outcome.rows("ddc", "none")
-    wins = sum(m.feature_mmd < b.feature_mmd for m, b in zip(multi, base))
-    assert wins >= 6, f"multi-scale MMD wins {wins}/10"
-    _report(6, "multi-scale feature MMD", f"{wins}/10 seeds")
+    _check_study_criterion(6, "multi-scale feature MMD", benchmark_outcome)
 
 
 def test_criterion_7_determinism_and_round_trip(tmp_path):

@@ -78,16 +78,56 @@ def test_run_uda_scores_the_head_the_model_predicts_with():
 
 
 def test_benchmark_outcome_bookkeeping():
-    settings = quick_settings()
-    outcome = ex.run_benchmark(settings, seeds=range(2),
-                               methods=("noadapt",),
-                               shift_strengths=(1.0, 1.5))
+    outcome = ex.run_benchmark(quick_settings(), seeds=range(2))
     assert len(outcome.rows("noadapt", "none")) == 2
-    assert len(outcome.rows("noadapt", "ce")) == 2
+    assert len(outcome.rows("ddc", "ce")) == 2
     assert len(outcome.rows("noadapt", "ce", None, 1.5)) == 2
     assert len(outcome.rows("ddc", "none", "M")) == 2
-    f1s, us = ex.correlation_rows(outcome, shift_strengths=(1.0, 1.5))
-    assert len(f1s) == len(us) == 4
+    table = ex.verdicts(outcome)
+    assert [len(v.values) for v in table] == [2, 2, 2, 2, 2, 6, 12, 2]
+
+
+def test_verdicts_on_hand_made_runs():
+    # each claim sits at its bar, so a tie decides it: equal F1, u and MMD
+    # lose, equal ECE wins
+    f1 = [0.3 + 0.01 * j for j in range(30)]  # 5(d) order: shift 0.5, 1.0, 1.5 x seed
+    u = [1.0 - v for v in f1]
+    u[0], u[1] = u[1], u[0]
+    ddc_f1 = [0.6] * 5 + [0.5] + [0.45] * 4             # 5(a): 5 wins, 1 tie
+    # 5(c): 7 wins, 1 tie
+    u_source = [v - g for v, g in zip(u[10:20], [0.1] * 7 + [0.0] + [-0.1] * 2)]
+    columns = {
+        ("noadapt", "none", None, 1.0): dict(target_f1=f1[10:20]),
+        ("noadapt", "ce", None, 1.0): dict(  # 5(b): 5 wins, 1 tie
+            target_f1=f1[10:20], target_ece=[0.05] * 5 + [0.1] + [0.2] * 4,
+            uncertainty_target=u[10:20], uncertainty_source=u_source),
+        ("ddc", "none", None, 1.0): {},
+        ("ddc", "ce", None, 1.0): dict(target_f1=ddc_f1, target_ece=[0.05] * 2 + [0.2] * 8),
+        ("noadapt", "ce", None, 0.5): dict(target_f1=f1[:10], uncertainty_target=u[:10]),
+        ("noadapt", "ce", None, 1.5): dict(target_f1=f1[20:], uncertainty_target=u[20:]),
+        ("ddc", "none", "M", 1.0): dict(  # 6: 5 wins, 2 ties; not a core run
+            feature_mmd=[0.1] * 5 + [0.2] * 2 + [0.3] * 3, wall_clock=[1e9] * 10)}
+    base = dict(target_f1=0.5, target_ece=0.1, target_f1_softmax=0.5,
+                target_ece_softmax=0.1, uncertainty_source=0.3,
+                uncertainty_target=0.4, feature_mmd=0.2, wall_clock=10.0)
+    outcome = ex.BenchmarkOutcome()
+    for key, values in columns.items():
+        outcome.runs[key] = [ex.RunResult(seed, *key, **{
+            **base, **{name: v[seed] for name, v in values.items()}}) for seed in range(10)]
+
+    # ranks 1..30 against 30..1 give sum d^2 = 8990 (rho = -1); the swap makes it 8988
+    rho = 1.0 - 6.0 * 8988 / (30 * (30 * 30 - 1))
+    want = [("5(a) method-average", 5, False), ("5(a) mean", (sum(ddc_f1) - 5.0) / 20, True),
+            ("5(b) noadapt", 6, True), ("5(b) ddc", 2, False), ("5(c)", 7, False),
+            ("5(d)", rho, True), ("5 runtime", 600.0, True), ("6 ", 5, False)]
+    table = ex.verdicts(outcome)
+    for verdict, (claim, statistic, passed) in zip(table, want, strict=True):
+        assert verdict.claim.startswith(claim) and verdict.passed is passed
+        assert type(verdict.statistic) is type(statistic)
+        assert verdict.statistic == pytest.approx(statistic, abs=1e-12)
+    assert table[5].values == tuple(zip(f1, u)) and len(table[6].values) == 60
+    assert table[0].line().startswith(
+        "FAIL 5(a) method-average target F1, CE > plain: 5/10 (needs >= 6) [0.5/0.45 ")
 
 
 def test_no_shift_control_gap():

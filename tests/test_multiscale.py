@@ -126,14 +126,17 @@ class TestAuxClassificationLoss:
     def test_near_zero_for_confident_correct(self):
         y = LabelBatch.from_labels([0, 1], 2)
         logits = Tensor(1e3 * y.one_hot)
-        loss = ms.aux_classification_loss(logits, [], y, ms.AuxWeights([]))
+        loss = ms.aux_classification_loss(logits, [], y)
         assert loss.data == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_logits_hand_value(self):
+        # 0.5 for the first auxiliary head, 0.25 for each later one
         y = LabelBatch.from_labels([0, 1, 2, 3], 4)
         z = Tensor(np.zeros((4, 4)))
-        loss = ms.aux_classification_loss(z, [z, z, z], y, ms.AuxWeights())
-        assert loss.data == pytest.approx(2.0 * math.log(4.0), abs=1e-12)
+        sure = Tensor(1e3 * y.one_hot)
+        for aux, want in (([z, z, z], 2.0), ([z, sure, sure], 1.5), ([sure, z, sure], 1.25)):
+            loss = ms.aux_classification_loss(z, aux, y)
+            assert loss.data == pytest.approx(want * math.log(4.0), abs=1e-12)
 
     def test_duplicating_batch_keeps_mean(self):
         rng = np.random.default_rng(4)
@@ -141,35 +144,16 @@ class TestAuxClassificationLoss:
         aux = rng.standard_normal((3, 4))
         y = LabelBatch.from_labels([0, 2, 1], 4)
         y2 = LabelBatch.from_labels([0, 2, 1, 0, 2, 1], 4)
-        one = ms.aux_classification_loss(
-            Tensor(logits), [Tensor(aux)], y, ms.AuxWeights([0.5])).data
+        one = ms.aux_classification_loss(Tensor(logits), [Tensor(aux)], y).data
         two = ms.aux_classification_loss(
             Tensor(np.tile(logits, (2, 1))), [Tensor(np.tile(aux, (2, 1)))],
-            y2, ms.AuxWeights([0.5])).data
+            y2).data
         assert two == pytest.approx(one, rel=1e-12)
 
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(5)
         logits = rng.standard_normal((5, 3))
         y = LabelBatch.from_labels(rng.integers(0, 3, 5), 3)
-        base = ms.aux_classification_loss(Tensor(logits), [], y,
-                                          ms.AuxWeights([])).data
-        shifted = ms.aux_classification_loss(
-            Tensor(logits + 250.0), [], y, ms.AuxWeights([])).data
+        base = ms.aux_classification_loss(Tensor(logits), [], y).data
+        shifted = ms.aux_classification_loss(Tensor(logits + 250.0), [], y).data
         assert shifted == pytest.approx(base, abs=1e-9)
-
-    def test_weight_count_mismatch(self):
-        y = LabelBatch.from_labels([0], 2)
-        z = Tensor(np.zeros((1, 2)))
-        with pytest.raises(ConfigError):
-            ms.aux_classification_loss(z, [z, z], y, ms.AuxWeights([0.5]))
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ConfigError):
-            ms.AuxWeights([0.5, -0.1])
-
-
-def test_default_aux_weights():
-    assert ms.default_aux_weights(2).values == [0.5, 0.25, 0.25]
-    assert ms.default_aux_weights(1).values == [0.5, 0.25]
-    assert ms.default_aux_weights(0).values == []

@@ -10,7 +10,6 @@ from evits import model as mo
 from evits import trainer as tr
 from evits.errors import ConfigError, NumericalAbort
 from evits.evidential import AnnealSchedule, LabelBatch
-from evits.multiscale import AuxWeights, default_aux_weights
 from evits.tensor import Tensor
 
 
@@ -55,8 +54,7 @@ class TestCombinedLoss:
         y = LabelBatch.from_labels([0, 1, 2, 0], 3)
         weights = tr.LossWeights(lambda1=1.0, lambda2=0.0, lambda3=0.0)
         total, parts = tr.combined_loss(fwd, None, y, weights,
-                                        AnnealSchedule(0), "none", "noadapt",
-                                        AuxWeights([]))
+                                        AnnealSchedule(0), "none", "noadapt")
         from evits.multiscale import softmax_cross_entropy
         want = softmax_cross_entropy(Tensor(logits), y).data
         assert total.data == pytest.approx(float(want), abs=1e-12)
@@ -69,7 +67,7 @@ class TestCombinedLoss:
         y = LabelBatch.from_labels([0, 1, 0, 1], 2)
         weights = tr.LossWeights(lambda1=1.0, lambda2=1.0, lambda3=0.0)
         _, parts = tr.combined_loss(fwd, fwd, y, weights, AnnealSchedule(0),
-                                    "none", "ddc", AuxWeights([]))
+                                    "none", "ddc")
         assert parts.domain == 0.0
 
     def test_single_sample_ce_hand_value(self):
@@ -78,8 +76,7 @@ class TestCombinedLoss:
         y = LabelBatch.from_labels([0], 2)
         weights = tr.LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0)
         total, parts = tr.combined_loss(fwd, None, y, weights,
-                                        AnnealSchedule(0), "ce", "noadapt",
-                                        AuxWeights([]))
+                                        AnnealSchedule(0), "ce", "noadapt")
         assert total.data == pytest.approx(0.5, abs=1e-12)
         assert parts.evidential == pytest.approx(0.5, abs=1e-12)
 
@@ -90,8 +87,7 @@ class TestCombinedLoss:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _, parts = tr.combined_loss(fwd, None, y, weights,
-                                        AnnealSchedule(0), "none", "noadapt",
-                                        AuxWeights([]))
+                                        AnnealSchedule(0), "none", "noadapt")
         assert any("noadapt" in str(w.message) for w in caught)
         assert parts.domain == 0.0
 
@@ -104,8 +100,7 @@ class TestCombinedLoss:
         y = LabelBatch.from_labels(rng.integers(0, 3, 5), 3)
         weights = tr.LossWeights(lambda1=0.7, lambda2=1.3, lambda3=2.1)
         total, parts = tr.combined_loss(fwd_s, fwd_t, y, weights,
-                                        AnnealSchedule(3), "mse", "coral",
-                                        AuxWeights([]))
+                                        AnnealSchedule(3), "mse", "coral")
         reconstructed = (0.7 * parts.cls + 1.3 * parts.domain
                          + 2.1 * parts.evidential)
         assert total.data == pytest.approx(reconstructed, abs=1e-9)
