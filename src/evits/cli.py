@@ -303,7 +303,7 @@ def cmd_eval(args):
     ece_e, bins_e = me.ece(probs_e, truth, bins)
     ece_s, bins_s = me.ece(probs_s, truth, bins)
     confusion = me.confusion_matrix(pred_p, truth, k)
-    u_stats = me.uncertainty_stats(u, domain="eval")
+    u_stats = me.uncertainty_stats(u)
 
     per_class_f1 = []
     per_class_u = []

@@ -25,10 +25,6 @@ class DegenerateBatchError(ToolkitError, ValueError):
     """A batch is too small for the requested statistic (covariances need N >= 2)."""
 
 
-class ResourceGuardError(ToolkitError):
-    """Refusing a computation whose memory would grow exponentially."""
-
-
 class FormatError(ToolkitError):
     """A binary container is malformed; carries the offending byte offset."""
 

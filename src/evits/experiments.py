@@ -18,6 +18,11 @@ import numpy as np
 
 from . import alignment, data as da, metrics as me, model as mo, trainer as tr
 
+# the study's grid, shared by run_benchmark and verdicts
+STUDY_METHODS = ("noadapt", "ddc")
+SHIFT_STRENGTHS = (0.5, 1.0, 1.5)
+MULTISCALE_VARIANT = "M"
+
 
 @dataclass(frozen=True)
 class BenchmarkSettings:
@@ -145,15 +150,13 @@ class BenchmarkOutcome:
         return self.runs[(method, evidential, variant, strength)]
 
 
-def run_benchmark(settings=None, seeds=range(10), methods=("noadapt", "ddc"),
-                  shift_strengths=(0.5, 1.0, 1.5), multiscale_variant="M",
-                  progress=None):
+def run_benchmark(settings=None, seeds=range(10), progress=None):
     """The full desk-scale study.
 
     At the reference strength (1.0): every method with and without the
     evidential-CE head.  Extra strengths: evidential noadapt runs for the
-    uncertainty-vs-F1 correlation.  Multi-scale: plain ddc runs with the
-    requested variant for the feature-discrepancy comparison.
+    uncertainty-vs-F1 correlation.  Multi-scale: plain ddc runs with
+    `MULTISCALE_VARIANT` for the feature-discrepancy comparison.
     """
     settings = settings or BenchmarkSettings()
     outcome = BenchmarkOutcome()
@@ -164,20 +167,20 @@ def run_benchmark(settings=None, seeds=range(10), methods=("noadapt", "ddc"),
             progress(key, result)
 
     for seed in seeds:
-        for method in methods:
+        for method in STUDY_METHODS:
             for evidential in ("none", "ce"):
                 result = run_uda(settings, seed, method, evidential,
                                  shift_strength=1.0)
                 record((method, evidential, None, 1.0), result)
-        for strength in shift_strengths:
+        for strength in SHIFT_STRENGTHS:
             if strength == 1.0:
                 continue  # reuse the reference runs
             result = run_uda(settings, seed, "noadapt", "ce",
                              shift_strength=strength)
             record(("noadapt", "ce", None, strength), result)
         result = run_uda(settings, seed, "ddc", "none",
-                         variant=multiscale_variant, shift_strength=1.0)
-        record(("ddc", "none", multiscale_variant, 1.0), result)
+                         variant=MULTISCALE_VARIANT, shift_strength=1.0)
+        record(("ddc", "none", MULTISCALE_VARIANT, 1.0), result)
     return outcome
 
 
@@ -204,8 +207,8 @@ class Verdict:
 
 def verdicts(outcome):
     """Criteria 5 and 6, sub-claim by sub-claim, on a `run_benchmark` outcome."""
-    methods = ("noadapt", "ddc")
-    plain, evi = ([outcome.rows(m, kind) for m in methods] for kind in ("none", "ce"))
+    plain, evi = ([outcome.rows(m, kind) for m in STUDY_METHODS]
+                  for kind in ("none", "ce"))
 
     def wins(claim, pairs, beats, need):
         count = sum(bool(beats(a, b)) for a, b in pairs)
@@ -219,11 +222,11 @@ def verdicts(outcome):
              Verdict("5(a) mean target F1, CE - plain", tuple(f1_avg), gap, "> 0", gap > 0)]
     table += [wins(f"5(b) {m} target ECE, CE <= plain", [(e.target_ece, p.target_ece)
                    for e, p in zip(e_rows, p_rows)], operator.le, 6)
-              for m, e_rows, p_rows in zip(methods, evi, plain)]
+              for m, e_rows, p_rows in zip(STUDY_METHODS, evi, plain)]
     table.append(wins("5(c) noadapt+CE mean u, target > source", [
         (r.uncertainty_target, r.uncertainty_source) for r in evi[0]], operator.gt, 8))
     runs = [(r.target_f1, r.uncertainty_target)
-            for s in (0.5, 1.0, 1.5) for r in outcome.rows("noadapt", "ce", None, s)]
+            for s in SHIFT_STRENGTHS for r in outcome.rows("noadapt", "ce", None, s)]
     rho = me.spearman(*zip(*runs))
     table.append(Verdict("5(d) Spearman rho(target F1, u), noadapt+CE", tuple(runs), rho,
                          "<= -0.3 over >= 30 runs", len(runs) >= 30 and rho <= -0.3))
@@ -233,5 +236,6 @@ def verdicts(outcome):
                          "<= 600", sum(seconds) <= 600.0))
     table.append(wins("6 ddc feature MMD, M < single-scale", [
         (m.feature_mmd, b.feature_mmd) for m, b in zip(
-            outcome.rows("ddc", "none", "M"), outcome.rows("ddc", "none"))], operator.lt, 6))
+            outcome.rows("ddc", "none", MULTISCALE_VARIANT),
+            outcome.rows("ddc", "none"))], operator.lt, 6))
     return table

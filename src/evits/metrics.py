@@ -92,14 +92,12 @@ def ece(probs, truth, bins=DEFAULT_ECE_BINS):
 
 @dataclass(frozen=True)
 class UncertaintyStats:
-    domain: str
     mean: float
     histogram: np.ndarray  # normalized masses, equal-width bins on (0, 1]
 
 
-def uncertainty_stats(values, domain="", bins=DEFAULT_HIST_BINS):
-    """Mean and a normalized equal-width histogram of u on (0, 1],
-    recorded with the domain tag it was measured on."""
+def uncertainty_stats(values, bins=DEFAULT_HIST_BINS):
+    """Mean and a normalized equal-width histogram of u on (0, 1]."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise DomainError("uncertainty_stats needs at least one value")
@@ -107,8 +105,7 @@ def uncertainty_stats(values, domain="", bins=DEFAULT_HIST_BINS):
         raise DomainError("uncertainties must lie in (0, 1]")
     indices = np.clip(np.ceil(values * bins).astype(np.int64) - 1, 0, bins - 1)
     masses = np.bincount(indices, minlength=bins) / values.size
-    return UncertaintyStats(domain=domain, mean=float(values.mean()),
-                            histogram=masses)
+    return UncertaintyStats(mean=float(values.mean()), histogram=masses)
 
 
 def _average_ranks(values):

@@ -38,7 +38,7 @@ DEFAULT_LAMBDA3_GRID = (0.01, 0.1, 0.5, 1.0)
 @dataclass(frozen=True)
 class LossWeights:
     lambda1: float = 1.0
-    lambda2: float = 1.0
+    lambda2: float = 0.0
     lambda3: float = 1.0
 
     def __post_init__(self):
@@ -248,12 +248,11 @@ def _finite_check(named_values, epoch, step, kind="loss component"):
             raise NumericalAbort(name, epoch, step, kind)
 
 
-def train(model_config, train_config, source, target, source_val=None):
+def train(model_config, train_config, source, target):
     """Train on labeled source plus (optionally) unlabeled target.
 
-    Target labels, if present in the batch, are ignored.  `source_val`
-    (default: the training source) provides the per-epoch validation F1.
-    Returns the final parameters and the full log.
+    Target labels, if present in the batch, are ignored.  Returns the
+    final parameters and the full log.
     """
     if not source.labeled:
         raise ConfigError("the source batch must carry labels")
@@ -279,7 +278,6 @@ def train(model_config, train_config, source, target, source_val=None):
         and train_config.weights.lambda2 != 0.0
     target_sampler = _CyclingSampler(len(target), target_rng) \
         if needs_target else None
-    validation = source_val if source_val is not None else source
 
     records = []
     for epoch in range(train_config.epochs):
@@ -323,8 +321,8 @@ def train(model_config, train_config, source, target, source_val=None):
             evidential=float(mean[2]),
             total=float(w.lambda1 * mean[0] + w.lambda2 * mean[1]
                         + w.lambda3 * mean[2]))
-        pred, _, _ = mo.predict(params, validation.values)
-        f1 = metrics.macro_f1(pred, validation.labels, model_config.num_classes)
+        pred, _, _ = mo.predict(params, source.values)
+        f1 = metrics.macro_f1(pred, source.labels, model_config.num_classes)
         records.append(EpochRecord(
             epoch=epoch, losses=losses, source_val_f1=f1,
             wall_clock=time.perf_counter() - started))

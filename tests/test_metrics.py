@@ -102,8 +102,8 @@ class TestEce:
 
 class TestUncertaintyStats:
     def test_all_ones(self):
-        stats = me.uncertainty_stats(np.ones(10), domain="target")
-        assert stats.mean == 1.0 and stats.domain == "target"
+        stats = me.uncertainty_stats(np.ones(10))
+        assert stats.mean == 1.0
         hist = stats.histogram
         assert hist[-1] == 1.0 and hist[:-1].sum() == 0.0
 

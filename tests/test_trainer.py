@@ -177,6 +177,22 @@ class TestTrain:
                     + 0.4 * parts.evidential)
             assert parts.total == pytest.approx(want, abs=1e-9)
 
+    def test_default_config_trains_without_warnings(self):
+        source, _ = synth_pair(seed=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr.train(tiny_model_config(), tr.TrainConfig(epochs=1), source, None)
+
+    def test_homm_trains_multiscale(self):
+        source, target = synth_pair(seed=16, amp_scale=0.8)
+        cfg = train_config(method="homm", evidential="ce",
+                           weights=tr.default_weights("homm", "ce"), epochs=2)
+        _, log = tr.train(tiny_model_config(num_scales=2, variant="M"), cfg,
+                          source, target)
+        for record in log.records:
+            assert np.isfinite(record.losses.domain)
+            assert record.losses.domain > 0.0
+
     def test_nan_input_aborts_with_component(self):
         source, _ = synth_pair(seed=9)
         poisoned = da.TimeSeriesBatch(
@@ -278,11 +294,11 @@ class TestSelectLambda3:
         calls = {"count": 0}
         real_train = tr.train
 
-        def flaky_train(model_config, cfg, src, tgt, source_val=None):
+        def flaky_train(model_config, cfg, src, tgt):
             calls["count"] += 1
             if cfg.weights.lambda3 == 0.5:
                 raise NumericalAbort("evidential", 0, 0)
-            return real_train(model_config, cfg, src, tgt, source_val)
+            return real_train(model_config, cfg, src, tgt)
 
         tr_train = tr.train
         tr.train = flaky_train
