@@ -1,10 +1,13 @@
 """Statistical domain-alignment losses and measurement-only discrepancies.
 
 The training losses (mean matching, covariance matching, higher-order
-moment matching and the combined form) are differentiable through the
-tape.  Higher-order moment matching is the biased MMD^2 under the
-polynomial kernel (x . y)^p = <x^(x)p, y^(x)p>, summed from the pooled
-batch Gram matrix; it may come out a few ulp below zero (not clamped).
+moment matching and the combined form) differentiate through the tape:
+the first three are one tape node each, whose forward runs in plain
+numpy and whose backward is the closed form in its docstring.  The
+combined form is the sum of two such nodes.  Higher-order moment
+matching is the biased MMD^2 under the polynomial kernel
+(x . y)^p = <x^(x)p, y^(x)p>, summed from the pooled batch Gram matrix;
+it may come out a few ulp below zero (not clamped).
 The RBF-kernel MMD and the sliced Wasserstein distance are measurement
 statistics for post-hoc reports and work on plain arrays.
 """
@@ -13,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as tz
 from .errors import ConfigError, DegenerateBatchError, DomainError, ShapeError
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _accumulate, _node, as_tensor
 
 METHODS = ("noadapt", "ddc", "coral", "homm", "mmda")
 
@@ -43,26 +45,50 @@ def mmd_linear(src, tgt):
 
     Computed as s / sqrt(max(s, 1e-12)) with s the squared distance, which
     equals the norm whenever s >= 1e-12 yet keeps the gradient finite and
-    the value exactly zero on identical batches.
+    the value exactly zero on identical batches.  One tape node:
+    d/d src = 2 (d out/d s) gap / n on every row, and -... / m for the
+    target, with d out/d s = 1 / (2 sqrt(s)), or 1e6 on the clip branch.
     """
     src, tgt = _check_features(src, tgt)
-    gap = src.mean(axis=0) - tgt.mean(axis=0)
+    n, m = src.shape[0], tgt.shape[0]
+    gap = src.data.sum(axis=0) * (1.0 / n) - tgt.data.sum(axis=0) * (1.0 / m)
     sq = (gap * gap).sum()
-    return sq / tz.clip_min(sq, 1e-12) ** 0.5
+    unclipped = sq >= 1e-12
+    root = np.sqrt(np.maximum(sq, 1e-12))
 
+    def bwd(g):
+        step = (2.0 * g * (1.0 - 0.5 * unclipped) / root) * gap
+        _accumulate(src, np.broadcast_to(step * (1.0 / n), src.shape).copy())
+        _accumulate(tgt, np.broadcast_to(step * (-1.0 / m), tgt.shape).copy())
 
-def _covariance(features):
-    n = features.shape[0]
-    centered = features - features.mean(axis=0, keepdims=True)
-    return tz.matmul(centered.transpose(), centered) * (1.0 / (n - 1))
+    return _node(sq / root, (src, tgt), bwd, "mmd_linear")
 
 
 def coral(src, tgt):
-    """Squared Frobenius gap of unbiased covariances, scaled by 1/(4 d^2)."""
+    """Squared Frobenius gap of unbiased covariances, scaled by 1/(4 d^2).
+
+    One tape node: with diff = cov(src) - cov(tgt) and Xc the centered
+    rows, d/d src = g Xc diff / (d^2 (n - 1)), and the negative over
+    (m - 1) for the target (centering drops out: the rows of Xc sum to 0).
+    """
     src, tgt = _check_features(src, tgt, min_rows=2)
     d = src.shape[1]
-    diff = _covariance(src) - _covariance(tgt)
-    return (diff * diff).sum() * (1.0 / (4.0 * d * d))
+    centered, covs = [], []
+    for x in (src.data, tgt.data):
+        xc = x - x.sum(axis=0, keepdims=True) * (1.0 / x.shape[0])
+        centered.append(xc)
+        # the transposed copy keeps the rounding of the tensor-primitive
+        # form the tests compare against: numpy sends xc.T @ xc, a view
+        # times its own base, to another BLAS routine
+        covs.append(xc.T.copy() @ xc * (1.0 / (x.shape[0] - 1)))
+    diff = covs[0] - covs[1]
+
+    def bwd(g):
+        scale = g / (d * d)
+        _accumulate(src, centered[0] @ diff * (scale / (src.shape[0] - 1)))
+        _accumulate(tgt, centered[1] @ diff * (-scale / (tgt.shape[0] - 1)))
+
+    return _node((diff * diff).sum() * (1.0 / (4.0 * d * d)), (src, tgt), bwd, "coral")
 
 
 def homm(src, tgt, order=3):
@@ -74,6 +100,7 @@ def homm(src, tgt, order=3):
     the cross blocks; besides the stacked input no array is larger than
     (n+m)^2.  On identical batches the value can come out a few ulp below
     zero; it is not clamped, because a clamp would change the gradient.
+    One tape node: d/d X = (2 p g / d^p) (gram^(p-1) o W) X, split by rows.
     """
     src, tgt = _check_features(src, tgt)
     if order < 1:
@@ -82,9 +109,16 @@ def homm(src, tgt, order=3):
     weights = np.full((n + m, n + m), -1.0 / (n * m))
     weights[:n, :n] = 1.0 / (n * n)
     weights[n:, n:] = 1.0 / (m * m)
-    pooled = tz.concat([src, tgt], axis=0)
-    gram = tz.matmul(pooled, pooled.transpose())
-    return (gram ** order * weights).sum() * (1.0 / src.shape[1] ** order)
+    pooled = np.concatenate([src.data, tgt.data], axis=0)
+    gram = pooled @ pooled.T.copy()  # the copy: see `coral`
+    scale = 1.0 / src.shape[1] ** order
+
+    def bwd(g):
+        grad = (gram ** (order - 1.0) * weights) @ pooled * (2.0 * order * g * scale)
+        _accumulate(src, grad[:n])
+        _accumulate(tgt, grad[n:])
+
+    return _node((gram ** float(order) * weights).sum() * scale, (src, tgt), bwd, "homm")
 
 
 def mmda(src, tgt):

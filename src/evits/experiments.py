@@ -120,12 +120,12 @@ def run_uda(settings, seed, method, evidential, variant=None,
     params, _ = tr.train(model_config, train_config, src_train, tgt_train)
 
     k = settings.num_classes
-    pred_p, probs_p, u_tgt = mo.predict(params, target.values)
-    pred_s, probs_s, _ = mo.predict(params, target.values, head="softmax")
-    _, _, u_src = mo.predict(params, source.values)
-
-    feats_src = mo.forward(params, source.values, mode="eval").mixed.data
-    feats_tgt = mo.forward(params, target.values, mode="eval").mixed.data
+    # one eval forward per domain gives every output
+    out_src = mo.forward(params, source.values, mode="eval")
+    out_tgt = mo.forward(params, target.values, mode="eval")
+    pred_p, probs_p, u_tgt = mo.head_outputs(params, out_tgt)
+    pred_s, probs_s, _ = mo.head_outputs(params, out_tgt, head="softmax")
+    _, _, u_src = mo.head_outputs(params, out_src)
 
     return RunResult(
         seed=seed, method=method, evidential=evidential, variant=variant,
@@ -136,7 +136,7 @@ def run_uda(settings, seed, method, evidential, variant=None,
         target_ece_softmax=me.ece(probs_s, target.labels)[0],
         uncertainty_source=float(u_src.mean()),
         uncertainty_target=float(u_tgt.mean()),
-        feature_mmd=alignment.mmd_rbf(feats_src, feats_tgt),
+        feature_mmd=alignment.mmd_rbf(out_src.mixed.data, out_tgt.mixed.data),
         wall_clock=time.perf_counter() - started)
 
 

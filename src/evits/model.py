@@ -240,27 +240,42 @@ def forward(params, x, mode="train", rng=None, param_tensors=None):
     )
 
 
+def _resolve_head(params, head):
+    if head == "auto":
+        head = params.train_meta.get("primary_head", "evidential")
+    if head not in ("evidential", "softmax"):
+        raise ConfigError(f"unknown prediction head {head!r}")
+    return head
+
+
+def first_nonfinite_row(values):
+    """Index of the first row of `values` that holds NaN or inf, else None."""
+    bad = ~np.isfinite(np.asarray(values, dtype=np.float64))
+    return int(np.argwhere(bad)[0, 0]) if bad.ndim and bad.any() else None
+
+
+def head_outputs(params, out, head="auto"):
+    """`predict`'s outputs from an eval-mode `forward` result `out`."""
+    dirichlet = evidence_to_alpha(out.evidence)
+    u = uncertainty(dirichlet).data
+    if _resolve_head(params, head) == "evidential":
+        probs = predict_mean(dirichlet).data
+    else:
+        probs = tz.softmax(out.final_logits, axis=1).data
+    return probs.argmax(axis=1), probs, u
+
+
 def predict(params, values, head="auto"):
     """Eval-mode class predictions, confidences/probabilities and uncertainty.
 
     head: "evidential" (Dirichlet mean), "softmax" (final softmax head) or
     "auto" (whatever the stored training meta says the model predicts with).
     """
-    if head == "auto":
-        head = params.train_meta.get("primary_head", "evidential")
-    if head not in ("evidential", "softmax"):
-        raise ConfigError(f"unknown prediction head {head!r}")
-    finite = np.isfinite(np.asarray(values, dtype=np.float64))
-    if finite.ndim and not finite.all():  # else the evidence gets the blame
-        raise DomainError(f"input row {np.argwhere(~finite)[0, 0]} holds NaN or inf")
-    out = forward(params, values, mode="eval")
-    dirichlet = evidence_to_alpha(out.evidence)
-    u = uncertainty(dirichlet).data
-    if head == "evidential":
-        probs = predict_mean(dirichlet).data
-    else:
-        probs = tz.softmax(out.final_logits, axis=1).data
-    return probs.argmax(axis=1), probs, u
+    head = _resolve_head(params, head)
+    row = first_nonfinite_row(values)
+    if row is not None:  # else the evidence gets the blame
+        raise DomainError(f"input row {row} holds NaN or inf")
+    return head_outputs(params, forward(params, values, mode="eval"), head)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -8,9 +8,11 @@ variants (L, LM) carry trainable parameters.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import tensor as tz
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor, as_tensor
+from .errors import ConfigError, DomainError, ShapeError
+from .tensor import _accumulate, _node, as_tensor
 
 VARIANTS = ("L", "LM", "M", "A", "R")
 
@@ -101,15 +103,28 @@ def mix_features(per_scale_features):
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean softmax cross-entropy over the batch."""
+    """Mean softmax cross-entropy over the batch.
+
+    One tape node; d/d logits = (g / n) (softmax (sum_k y_k) - y).
+    Non-finite logits raise DomainError.
+    """
     logits = as_tensor(logits)
-    if logits.shape != labels.one_hot.shape:
-        raise ShapeError(
-            f"logits {logits.shape} do not match labels {labels.one_hot.shape}"
-        )
-    log_probs = tz.log_softmax(logits, axis=1)
-    per_sample = -(Tensor(labels.one_hot) * log_probs).sum(axis=1)
-    return per_sample.mean()
+    y = labels.one_hot
+    if logits.shape != y.shape:
+        raise ShapeError(f"logits {logits.shape} do not match labels {y.shape}")
+    if not np.all(np.isfinite(logits.data)):
+        raise DomainError("logits must be finite")
+    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    exp_shift = np.exp(shift)
+    total = exp_shift.sum(axis=1, keepdims=True)
+    per_sample = -(y * (shift - np.log(total))).sum(axis=1)
+    n = y.shape[0]
+
+    def bwd(g):
+        probs = exp_shift / total
+        _accumulate(logits, (probs * y.sum(axis=1, keepdims=True) - y) * (g / n))
+
+    return _node(per_sample.sum() * (1.0 / n), (logits,), bwd, "softmax_ce")
 
 
 def aux_classification_loss(final_logits, aux_logits, labels):

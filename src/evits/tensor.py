@@ -2,7 +2,7 @@
 
 The supported primitive set is exactly what the model and losses need:
 elementwise arithmetic with numpy broadcasting, matmul, relu / softplus /
-exp / log, reductions, reshape / transpose / concatenation / cropping,
+exp / log, reductions, reshape / concatenation / cropping,
 1-D convolution (cross-correlation, zero padding), 1-D pooling and a
 backbone block's batch-norm -> max-pool -> relu tail as one node.
 Applying an operation records the node on the implicit tape; ``backward``
@@ -85,9 +85,6 @@ class Tensor:
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def transpose(self):
-        return transpose2d(self)
 
     def relu(self):
         return relu(self)
@@ -272,18 +269,6 @@ def softplus(a):
     return _node(out_data, (a,), bwd, "softplus")
 
 
-def clip_min(a, floor):
-    """Elementwise max(a, floor); gradient passes where a >= floor."""
-    a = as_tensor(a)
-    floor = float(floor)
-    mask = a.data >= floor
-
-    def bwd(g):
-        _accumulate(a, g * mask)
-
-    return _node(np.maximum(a.data, floor), (a,), bwd, "clip_min")
-
-
 # -- shape ops ---------------------------------------------------------------
 
 
@@ -295,17 +280,6 @@ def reshape(a, shape):
         _accumulate(a, g.reshape(old_shape))
 
     return _node(a.data.reshape(shape), (a,), bwd, "reshape")
-
-
-def transpose2d(a):
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError("transpose2d expects a matrix")
-
-    def bwd(g):
-        _accumulate(a, g.T)
-
-    return _node(a.data.T.copy(), (a,), bwd, "transpose")
 
 
 def concat(tensors, axis):

@@ -278,6 +278,11 @@ def train(model_config, train_config, source, target):
         and train_config.weights.lambda2 != 0.0
     target_sampler = _CyclingSampler(len(target), target_rng) \
         if needs_target else None
+    inputs = {"source": source, "target": target} if needs_target else {"source": source}
+    for name, batch in inputs.items():
+        row = mo.first_nonfinite_row(batch.values)
+        if row is not None:  # else a loss component gets the blame
+            raise NumericalAbort(f"{name} row {row}", 0, 0, "input")
 
     records = []
     for epoch in range(train_config.epochs):

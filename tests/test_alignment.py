@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evits import alignment as al
-from evits.errors import ConfigError, DegenerateBatchError, ShapeError
+from evits import tensor as tz
+from evits.errors import ConfigError, DegenerateBatchError, DomainError, ShapeError
 from evits.tensor import Tensor, grad_check
 
 
@@ -23,6 +24,85 @@ def mean_outer_moment(rows, order):
 def reference_homm(src, tgt, order):
     diff = mean_outer_moment(src, order) - mean_outer_moment(tgt, order)
     return (diff * diff).sum() / src.shape[1] ** order
+
+
+# the chains of tensor primitives the one-node losses replace; their
+# forward values must match bit for bit
+def chain_mmd_linear(src, tgt):
+    src, tgt = Tensor(src), Tensor(tgt)
+    gap = src.mean(axis=0) - tgt.mean(axis=0)
+    sq = (gap * gap).sum()
+    return sq / Tensor(np.maximum(sq.data, 1e-12)) ** 0.5
+
+
+def chain_covariance(x):
+    x = Tensor(x)
+    centered = x - x.mean(axis=0, keepdims=True)
+    return tz.matmul(Tensor(centered.data.T.copy()), centered) * (1.0 / (x.shape[0] - 1))
+
+
+def chain_coral(src, tgt):
+    d = src.shape[1]
+    diff = chain_covariance(src) - chain_covariance(tgt)
+    return (diff * diff).sum() * (1.0 / (4.0 * d * d))
+
+
+def chain_homm(src, tgt, order):
+    n, m = len(src), len(tgt)
+    weights = np.full((n + m, n + m), -1.0 / (n * m))
+    weights[:n, :n] = 1.0 / (n * n)
+    weights[n:, n:] = 1.0 / (m * m)
+    pooled = tz.concat([Tensor(src), Tensor(tgt)], axis=0)
+    gram = tz.matmul(pooled, Tensor(pooled.data.T.copy()))
+    return (gram ** order * weights).sum() * (1.0 / src.shape[1] ** order)
+
+
+def unequal_batches(seed):
+    # (n, m, width) with n != m, down to coral's 2-row minimum
+    rng = np.random.default_rng(seed)
+    for n, m, width in ((4, 7, 3), (6, 3, 5), (2, 5, 4), (9, 2, 1)):
+        yield (rng.standard_normal((n, width)) * 1.7,
+               rng.standard_normal((m, width)) + 0.8)
+
+
+@pytest.mark.parametrize("name,fused,chain", [
+    ("ddc", al.mmd_linear, chain_mmd_linear),
+    ("coral", al.coral, chain_coral),
+    ("mmda", al.mmda, lambda a, b: chain_mmd_linear(a, b) + chain_coral(a, b)),
+    ("homm1", lambda a, b: al.homm(a, b, 1), lambda a, b: chain_homm(a, b, 1)),
+    ("homm3", al.homm, lambda a, b: chain_homm(a, b, 3)),
+    ("homm4", lambda a, b: al.homm(a, b, 4), lambda a, b: chain_homm(a, b, 4)),
+])
+def test_one_node_value_equals_chain(name, fused, chain):
+    rng = np.random.default_rng(40)
+    cases = list(unequal_batches(41))
+    cases += [(rng.standard_normal((32, 42)), rng.standard_normal((32, 42)) + 0.2)]
+    for src, tgt in cases:
+        assert fused(src, tgt).data == chain(src, tgt).data
+    x = cases[0][0]
+    assert fused(x, x.copy()).data == chain(x, x.copy()).data
+
+
+@pytest.mark.parametrize("name,loss", [
+    ("ddc", al.mmd_linear), ("coral", al.coral), ("mmda", al.mmda)])
+def test_gradient_unequal_batches(name, loss):
+    # n != m: a swapped 1/n and 1/m (or 1/(n-1), 1/(m-1)) fails here
+    for src, tgt in unequal_batches(50):
+        src, tgt = Tensor(src), Tensor(tgt)
+        assert grad_check(lambda s: loss(s, tgt), src) < 1e-4
+        assert grad_check(lambda t: loss(src, t), tgt) < 1e-4
+
+
+@pytest.mark.parametrize("loss", [al.mmd_linear, al.coral, al.homm, al.mmda])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_features_raise_domain_error(loss, bad):
+    src = np.random.default_rng(60).standard_normal((4, 3))
+    tgt = src + 1.0
+    src[2, 1] = bad
+    with pytest.raises(DomainError):
+        loss(src, tgt)
+    with pytest.raises(DomainError):
+        loss(tgt, src)
 
 
 def two_point_1d(variance):
@@ -50,6 +130,25 @@ class TestMmdLinear:
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
             al.mmd_linear(np.zeros((3, 2)), np.zeros((3, 3)))
+
+    def test_identical_batches_exact_zero_gradient(self):
+        x = np.random.default_rng(8).standard_normal((5, 3))
+        src = Tensor(x, requires_grad=True)
+        tgt = Tensor(x.copy(), requires_grad=True)
+        loss = al.mmd_linear(src, tgt)
+        loss.backward()
+        assert loss.data == 0.0
+        assert np.all(src.grad == 0.0) and np.all(tgt.grad == 0.0)
+
+    def test_clip_branch_gradient(self):
+        # squared gap 9e-16 < 1e-12: the value is s / 1e-6 and d out/d s = 1e6
+        src = Tensor(np.zeros((2, 1)), requires_grad=True)
+        tgt = Tensor(np.full((3, 1), 3e-8), requires_grad=True)
+        loss = al.mmd_linear(src, tgt)
+        loss.backward()
+        assert loss.data == pytest.approx(9e-10, rel=1e-9)
+        assert src.grad == pytest.approx(np.full((2, 1), -0.03), rel=1e-9)
+        assert tgt.grad == pytest.approx(np.full((3, 1), 0.02), rel=1e-9)
 
     def test_gradient_defined_at_zero(self):
         x = Tensor(np.random.default_rng(2).standard_normal((4, 3)),
@@ -85,6 +184,15 @@ class TestCoral:
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateBatchError):
             al.coral(np.zeros((1, 3)), np.zeros((5, 3)))
+
+    def test_two_rows(self):
+        # n - 1 = 1: the smallest batch the unbiased covariance allows
+        rng = np.random.default_rng(9)
+        src = Tensor(rng.standard_normal((2, 3)))
+        tgt = Tensor(rng.standard_normal((2, 3)) * 2.0)
+        assert al.coral(src, tgt).data == chain_coral(src.data, tgt.data).data
+        assert grad_check(lambda s: al.coral(s, tgt), src) < 1e-4
+        assert grad_check(lambda t: al.coral(src, t), tgt) < 1e-4
 
 
 class TestHomm:

@@ -68,6 +68,40 @@ def test_run_uda_multiscale_variant():
     assert np.isfinite(result.feature_mmd)
 
 
+def test_run_uda_one_forward_per_domain_matches_five(monkeypatch):
+    # the three predict calls and two forwards run_uda made before, on the
+    # trained parameters, give every field but wall_clock bit for bit
+    settings = quick_settings(epochs=1)
+    real_train, kept = tr.train, []
+
+    def keep(*args):
+        kept.append(real_train(*args)[0])
+        return kept[-1], None
+
+    monkeypatch.setattr(tr, "train", keep)
+    result = ex.run_uda(settings, seed=2, method="ddc", evidential="ce",
+                        variant="M")
+    params, k = kept[0], settings.num_classes
+    source, target, _, _ = ex.benchmark_domains(settings, 2, 1.0)
+    pred_p, probs_p, u_tgt = mo.predict(params, target.values)
+    pred_s, probs_s, _ = mo.predict(params, target.values, head="softmax")
+    _, _, u_src = mo.predict(params, source.values)
+    feats_src = mo.forward(params, source.values, mode="eval").mixed.data
+    feats_tgt = mo.forward(params, target.values, mode="eval").mixed.data
+    want = ex.RunResult(
+        seed=2, method="ddc", evidential="ce", variant="M", shift_strength=1.0,
+        target_f1=me.macro_f1(pred_p, target.labels, k),
+        target_ece=me.ece(probs_p, target.labels)[0],
+        target_f1_softmax=me.macro_f1(pred_s, target.labels, k),
+        target_ece_softmax=me.ece(probs_s, target.labels)[0],
+        uncertainty_source=float(u_src.mean()),
+        uncertainty_target=float(u_tgt.mean()),
+        feature_mmd=ex.alignment.mmd_rbf(feats_src, feats_tgt),
+        wall_clock=result.wall_clock)
+    assert params.train_meta["primary_head"] == "evidential"
+    assert result == want
+
+
 def test_run_uda_scores_the_head_the_model_predicts_with():
     # lambda3 = 0 leaves the evidential head untrained, so training marks
     # the softmax head primary and the primary scores are the softmax ones

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from evits import multiscale as ms
-from evits.errors import ConfigError, ShapeError
+from evits import tensor as tz
+from evits.errors import ConfigError, DomainError, ShapeError
 from evits.evidential import LabelBatch
-from evits.tensor import Tensor
+from evits.tensor import Tensor, grad_check
 
 
 def series(values):
@@ -157,3 +158,41 @@ class TestAuxClassificationLoss:
         base = ms.aux_classification_loss(Tensor(logits), [], y).data
         shifted = ms.aux_classification_loss(Tensor(logits + 250.0), [], y).data
         assert shifted == pytest.approx(base, abs=1e-9)
+
+
+def chain_cross_entropy(logits, labels):
+    # the chain of tensor primitives the one-node loss replaces
+    log_probs = tz.log_softmax(Tensor(logits), axis=1)
+    return (-(Tensor(labels.one_hot) * log_probs).sum(axis=1)).mean()
+
+
+class TestSoftmaxCrossEntropy:
+    def test_value_equals_chain(self):
+        rng = np.random.default_rng(6)
+        for n, k, scale in ((1, 2, 1.0), (5, 3, 4.0), (32, 4, 30.0), (7, 5, 1e-3)):
+            logits = rng.standard_normal((n, k)) * scale
+            y = LabelBatch.from_labels(rng.integers(0, k, n), k)
+            assert ms.softmax_cross_entropy(Tensor(logits), y).data == \
+                chain_cross_entropy(logits, y).data
+
+    def test_gradient(self):
+        rng = np.random.default_rng(7)
+        for n, k in ((3, 2), (5, 4)):
+            y = LabelBatch.from_labels(rng.integers(0, k, n), k)
+            logits = Tensor(rng.standard_normal((n, k)) * 3.0)
+            assert grad_check(lambda z: ms.softmax_cross_entropy(z, y), logits) < 1e-6
+            assert grad_check(lambda z: ms.aux_classification_loss(
+                z, [z * 2.0, z + 1.0], y), logits) < 1e-6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_logits_raise_domain_error(self, bad):
+        logits = np.zeros((3, 4))
+        logits[1, 2] = bad
+        with pytest.raises(DomainError):
+            ms.softmax_cross_entropy(Tensor(logits),
+                                     LabelBatch.from_labels([0, 1, 2], 4))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ms.softmax_cross_entropy(Tensor(np.zeros((3, 4))),
+                                     LabelBatch.from_labels([0, 1], 4))

@@ -199,9 +199,38 @@ class TestTrain:
             values=source.values.copy(), labels=source.labels,
             num_classes=source.num_classes)
         poisoned.values[0, 0, 0] = np.nan
-        with pytest.raises(NumericalAbort) as failure:
+        with pytest.raises(NumericalAbort, match="'source row 0' input") as failure:
             tr.train(tiny_model_config(), train_config(), poisoned, None)
-        assert failure.value.component == "cls"
+        assert failure.value.component == "source row 0"
+
+    def test_nan_target_input_named_when_read(self):
+        source, target = synth_pair(seed=9)
+        target.values[5, 0, 3] = np.inf
+        cfg = train_config(method="ddc", weights=tr.default_weights("ddc", "none"))
+        with pytest.raises(NumericalAbort) as failure:
+            tr.train(tiny_model_config(), cfg, source, target)
+        assert failure.value.component == "target row 5"
+        # noadapt never reads the target, so its values are not checked
+        tr.train(tiny_model_config(), train_config(epochs=1), source, target)
+
+    @pytest.mark.parametrize("field,value,component", [
+        ("mixed", np.inf, "domain"), ("mixed", np.nan, "domain"),
+        ("final_logits", np.inf, "cls"), ("final_logits", np.nan, "cls")])
+    def test_nonfinite_forward_names_component(self, monkeypatch, field, value,
+                                               component):
+        source, target = synth_pair(seed=9)
+        real_forward = mo.forward
+
+        def poisoned(*args, **kwargs):
+            out = real_forward(*args, **kwargs)
+            getattr(out, field).data[0, 0] = value
+            return out
+
+        monkeypatch.setattr(mo, "forward", poisoned)
+        cfg = train_config(method="ddc", weights=tr.default_weights("ddc", "none"))
+        with pytest.raises(NumericalAbort) as failure:
+            tr.train(tiny_model_config(), cfg, source, target)
+        assert failure.value.component == component
 
     def test_inf_gradient_aborts_before_the_update(self, monkeypatch):
         # a finite loss whose gradient holds an inf: the step names the
