@@ -149,38 +149,55 @@ def _as_array(features):
     return arr
 
 
-def _pairwise_sq_dists(a, b):
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+def _pooled_sq_dists(src, tgt):
+    """Squared distances between all rows of `src` stacked over `tgt`."""
+    pooled = np.vstack([src, tgt])
+    norms = (pooled * pooled).sum(axis=1)
+    sq = norms[:, None] + norms[None, :]
+    cross = pooled @ pooled.T
+    cross *= 2.0
+    sq -= cross
+    return np.maximum(sq, 0.0, out=sq)
 
 
-def median_heuristic_bandwidths(src, tgt, scales=DEFAULT_BANDWIDTH_SCALES):
-    """Median pairwise distance over the pooled sample, scaled by `scales`."""
-    pooled = np.vstack([_as_array(src), _as_array(tgt)])
-    dists = np.sqrt(_pairwise_sq_dists(pooled, pooled))
-    off_diag = dists[~np.eye(len(pooled), dtype=bool)]
-    median = float(np.median(off_diag)) if off_diag.size else 0.0
+def _median_bandwidths(sq, scales):
+    """The median heuristic from the pooled squared distances `sq`: one copy
+    of the off-diagonal entries (a strided view that skips each diagonal
+    step), partitioned in place.  Only the middle two get a square root,
+    which gives np.median's rooted value bit for bit: sqrt is monotone."""
+    n = len(sq)
+    off = sq.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(-1)
+    median = 0.0
+    if off.size:  # n (n - 1) entries, an even count
+        mid = off.size // 2
+        off.partition((mid - 1, mid))
+        median = float((np.sqrt(off[mid - 1]) + np.sqrt(off[mid])) / 2)
     if median <= 0.0:
         median = 1.0
     return [median * s for s in scales]
 
 
+def median_heuristic_bandwidths(src, tgt, scales=DEFAULT_BANDWIDTH_SCALES):
+    """Median pairwise distance over the pooled sample, scaled by `scales`."""
+    return _median_bandwidths(_pooled_sq_dists(_as_array(src), _as_array(tgt)), scales)
+
+
 def mmd_rbf(src, tgt, bandwidths=None):
-    """Biased V-statistic MMD^2 under Gaussian kernels, summed over bandwidths."""
+    """Biased V-statistic MMD^2 under Gaussian kernels, summed over bandwidths;
+    one pooled distance matrix serves the median heuristic and all blocks."""
     a, b = _as_array(src), _as_array(tgt)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"feature widths differ: {a.shape[1]} vs {b.shape[1]}")
+    sq = _pooled_sq_dists(a, b)
     if bandwidths is None:
-        bandwidths = median_heuristic_bandwidths(a, b)
+        bandwidths = _median_bandwidths(sq, DEFAULT_BANDWIDTH_SCALES)
     bandwidths = [float(w) for w in bandwidths]
     if not bandwidths:
         raise ConfigError("mmd_rbf needs a non-empty bandwidth list")
     if any(w <= 0 for w in bandwidths):
         raise ConfigError("bandwidths must be positive")
-    d_ss = _pairwise_sq_dists(a, a)
-    d_tt = _pairwise_sq_dists(b, b)
-    d_st = _pairwise_sq_dists(a, b)
+    n = len(a)
+    d_ss, d_tt, d_st = sq[:n, :n], sq[n:, n:], sq[:n, n:]
     total = 0.0
     for width in bandwidths:
         scale = -0.5 / (width * width)

@@ -292,8 +292,9 @@ def cmd_eval(args):
     run.echo.update({"model": args.model, "data": args.data,
                      "primary_head": primary_head})
 
-    pred_e, probs_e, u = mo.predict(params, batch.values, head="evidential")
-    pred_s, probs_s, _ = mo.predict(params, batch.values, head="softmax")
+    out = mo.eval_forward(params, batch.values)
+    pred_e, probs_e, u = mo.head_outputs(params, out, head="evidential")
+    pred_s, probs_s, _ = mo.head_outputs(params, out, head="softmax")
     pred_p, probs_p = ((pred_e, probs_e) if primary_head == "evidential"
                        else (pred_s, probs_s))
 

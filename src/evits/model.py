@@ -16,7 +16,10 @@ rounding differs).  The raw conv output is then max-pooled, and only the
 half-size result gets the bias beta - mean * s and relu, in place.
 Pooling before the bias is exact in floating point too: fl(a + b) never
 decreases as a grows, so max(fl(l + b), fl(r + b)) = fl(max(l, r) + b).
-The eval path builds no masks and no tape nodes.  The mixed
+The eval path builds no masks and no tape nodes, and runs the backbones
+on `_EVAL_ROWS` rows at a time, so its memory does not grow with the rows;
+each row's conv product and time mean are the same float operations for
+any row count, so this is bit-identical to one pass.  The mixed
 (concatenated) feature feeds a softmax classifier head and an evidence
 head (softplus output); auxiliary softmax heads read the per-scale
 features when the multi-scale architecture is enabled.
@@ -42,6 +45,7 @@ MODEL_VERSION = 1
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
+_EVAL_ROWS = 64  # rows per chunk of an eval forward
 
 
 @dataclass(frozen=True)
@@ -179,29 +183,15 @@ def make_param_tensors(params, trainable=True):
     return tensors
 
 
-def forward(params, x, mode="train", rng=None, param_tensors=None):
-    """Run the network; `mode` is "train" (batch statistics, folded into the
-    running statistics; random pooling active) or "eval" (running
-    statistics, deterministic pooling)."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown mode {mode!r}")
+def _scale_features(params, pt, x, train, rng):
+    """The per-scale features [N, F] of `x`: each down-sampled scale through
+    its conv blocks, then global average pooling over time."""
     config = params.config
-    x = tz.as_tensor(x)
-    if x.ndim != 3 or x.shape[1] != config.channels or x.shape[2] != config.length:
-        raise ShapeError(
-            f"input {x.shape} does not match [N, {config.channels}, {config.length}]"
-        )
-    train = mode == "train"
-    pt = param_tensors if param_tensors is not None else \
-        make_param_tensors(params, trainable=train)
-
     conv_levels = ms.conv_reduction_levels(config.num_scales, config.variant)
     down_convs = [pt[f"down{i}.w"] for i in range(len(conv_levels))]
     scales = ms.build_scales(x, config.num_scales, config.variant, rng=rng,
                              down_convs=down_convs, train=train)
-
     features = []
-    aux_logits = []
     for scale, series in enumerate(scales):
         h = series
         for block, kernel in enumerate(config.kernel_sizes):
@@ -222,11 +212,34 @@ def forward(params, x, mode="train", rng=None, param_tensors=None):
                 h = np.maximum(h[:, :, 0:2 * t:2], h[:, :, 1:2 * t:2])
                 h += (beta.data - running_mean * s)[:, None]
                 np.maximum(h, 0.0, out=h)
-        feat = tz.tmean(h, axis=2)  # global average pool -> [N, F]
-        features.append(feat)
-        if config.num_scales >= 1:
-            aux_logits.append(
-                tz.matmul(feat, pt[f"aux{scale}.w"]) + pt[f"aux{scale}.b"])
+        features.append(tz.tmean(h, axis=2))  # global average pool -> [N, F]
+    return features
+
+
+def forward(params, x, mode="train", rng=None, param_tensors=None):
+    """Run the network; `mode` is "train" (batch statistics, folded into the
+    running statistics; random pooling active) or "eval" (running
+    statistics, deterministic pooling)."""
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    config = params.config
+    x = tz.as_tensor(x)
+    if x.ndim != 3 or x.shape[1] != config.channels or x.shape[2] != config.length:
+        raise ShapeError(
+            f"input {x.shape} does not match [N, {config.channels}, {config.length}]"
+        )
+    train = mode == "train"
+    pt = param_tensors if param_tensors is not None else \
+        make_param_tensors(params, trainable=train)
+
+    if train:
+        features = _scale_features(params, pt, x, True, rng)
+    else:  # rows are independent: fixed chunks bound every temporary
+        chunks = [_scale_features(params, pt, x.data[i:i + _EVAL_ROWS], False, rng)
+                  for i in range(0, len(x.data) or 1, _EVAL_ROWS)]
+        features = [Tensor(np.concatenate([f.data for f in scale])) for scale in zip(*chunks)]
+    aux_logits = [tz.matmul(feat, pt[f"aux{scale}.w"]) + pt[f"aux{scale}.b"]
+                  for scale, feat in enumerate(features)] if config.num_scales >= 1 else []
 
     mixed = ms.mix_features(features)
     final_logits = tz.matmul(mixed, pt["final.w"]) + pt["final.b"]
@@ -265,6 +278,14 @@ def head_outputs(params, out, head="auto"):
     return probs.argmax(axis=1), probs, u
 
 
+def eval_forward(params, values):
+    """Eval-mode `forward` of `values`, once no row holds NaN or inf."""
+    row = first_nonfinite_row(values)
+    if row is not None:  # else the evidence gets the blame
+        raise DomainError(f"input row {row} holds NaN or inf")
+    return forward(params, values, mode="eval")
+
+
 def predict(params, values, head="auto"):
     """Eval-mode class predictions, confidences/probabilities and uncertainty.
 
@@ -272,10 +293,7 @@ def predict(params, values, head="auto"):
     "auto" (whatever the stored training meta says the model predicts with).
     """
     head = _resolve_head(params, head)
-    row = first_nonfinite_row(values)
-    if row is not None:  # else the evidence gets the blame
-        raise DomainError(f"input row {row} holds NaN or inf")
-    return head_outputs(params, forward(params, values, mode="eval"), head)
+    return head_outputs(params, eval_forward(params, values), head)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -326,7 +326,7 @@ def train(model_config, train_config, source, target):
             evidential=float(mean[2]),
             total=float(w.lambda1 * mean[0] + w.lambda2 * mean[1]
                         + w.lambda3 * mean[2]))
-        pred, _, _ = mo.predict(params, source.values)
+        pred, _, _ = mo.head_outputs(params, mo.forward(params, source.values, mode="eval"))
         f1 = metrics.macro_f1(pred, source.labels, model_config.num_classes)
         records.append(EpochRecord(
             epoch=epoch, losses=losses, source_val_f1=f1,

@@ -302,6 +302,65 @@ class TestMmdRbf:
             al.mmd_rbf(np.zeros((3, 1)), np.zeros((3, 1)), [])
 
 
+def reference_sq_dists(a, b):
+    aa = (a * a).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def reference_bandwidths(src, tgt, scales=al.DEFAULT_BANDWIDTH_SCALES):
+    pooled = np.vstack([src, tgt])
+    dists = np.sqrt(reference_sq_dists(pooled, pooled))
+    off_diag = dists[~np.eye(len(pooled), dtype=bool)]
+    median = float(np.median(off_diag)) if off_diag.size else 0.0
+    return [(median if median > 0.0 else 1.0) * s for s in scales]
+
+
+def reference_mmd_rbf(src, tgt, bandwidths=None):
+    if bandwidths is None:
+        bandwidths = reference_bandwidths(src, tgt)
+    d_ss, d_tt, d_st = (reference_sq_dists(p, q) for p, q in
+                        ((src, src), (tgt, tgt), (src, tgt)))
+    total = 0.0
+    for width in bandwidths:
+        scale = -0.5 / (width * width)
+        total += (np.exp(scale * d_ss).mean() + np.exp(scale * d_tt).mean()
+                  - 2.0 * np.exp(scale * d_st).mean())
+    return max(float(total), 0.0)
+
+
+def rbf_batches(case):
+    rng = np.random.default_rng(31)
+    if case == "duplicates":  # tied and zero distances
+        rows = rng.standard_normal((4, 3))
+        return rows[[0, 1, 1, 2, 0]], rows[[3, 1, 3, 0]]
+    if case == "all_equal":  # median 0 falls back to 1.0
+        return np.ones((3, 2)), np.ones((2, 2))
+    n, m, width = case
+    return rng.standard_normal((n, width)), rng.standard_normal((m, width)) + 0.5
+
+
+# (n, m, width): pooled rows 6 and 4 give an odd and an even count of
+# distinct pairs (15 and 6); (1, 1) is one row per side; (200, 200, 42)
+# is the study's shape for the multi-scale mixed feature
+RBF_CASES = [(4, 2, 3), (2, 2, 5), (1, 1, 4), (7, 12, 2), (200, 200, 42),
+             "duplicates", "all_equal"]
+
+
+@pytest.mark.parametrize("case", RBF_CASES, ids=str)
+def test_mmd_rbf_matches_three_product_reference(case):
+    src, tgt = rbf_batches(case)
+    assert al.median_heuristic_bandwidths(src, tgt) == reference_bandwidths(src, tgt)
+    assert al.mmd_rbf(src, tgt) == reference_mmd_rbf(src, tgt)
+    assert al.mmd_rbf(src, tgt, [0.3, 2.5]) == reference_mmd_rbf(src, tgt, [0.3, 2.5])
+    assert (al.median_heuristic_bandwidths(src, tgt, (1.0,))
+            == reference_bandwidths(src, tgt, (1.0,)))
+
+
+def test_median_fallback_is_unit_width():
+    assert al.median_heuristic_bandwidths(*rbf_batches("all_equal")) == [0.5, 1.0, 2.0]
+
+
 class TestSlicedWd:
     def test_identical(self):
         x = np.random.default_rng(9).standard_normal((12, 4))

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from evits import cli
 from evits import data as da
+from evits import model as mo
 
 
 def run_cli(*argv):
@@ -190,6 +192,28 @@ class TestEval:
                      "uncertainty_hist.csv", "per_sample.csv"):
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes()
+
+    def test_one_forward_gives_the_two_predict_reports(self, trained, tmp_path,
+                                                       monkeypatch):
+        source, target, model = trained
+        modes, forward = [], mo.forward
+        monkeypatch.setattr(mo, "forward", lambda params, x, mode="train", **kw:
+                            modes.append(mode) or forward(params, x, mode, **kw))
+        assert run_cli("eval", "--model", str(model), "--data", str(target),
+                       "--out-dir", str(tmp_path / "one")) == 0
+        assert modes == ["eval"]
+        # the same command with each head taken from its own full predict
+        two = types.SimpleNamespace(**vars(mo))
+        two.eval_forward = lambda params, values: values
+        two.head_outputs = lambda params, values, head: mo.predict(params, values, head)
+        monkeypatch.setattr(cli, "mo", two)
+        assert run_cli("eval", "--model", str(model), "--data", str(target),
+                       "--out-dir", str(tmp_path / "two")) == 0
+        assert modes == ["eval"] * 3
+        for name in ("report.txt", "confusion.csv", "reliability.csv",
+                     "uncertainty_hist.csv", "per_sample.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "two" / name).read_bytes(), name
 
     def test_class_count_mismatch_exits_2(self, trained, tmp_path):
         source, target, model = trained

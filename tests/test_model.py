@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -208,6 +209,72 @@ class TestPredict:
             warnings.simplefilter("error")  # raised before any op warns
             with pytest.raises(DomainError, match="input row 2 holds NaN or inf"):
                 mo.predict(params, x)
+
+
+def _forward_fields(out):
+    return {"features": [f.data for f in out.per_scale_features], "mixed": out.mixed.data,
+            "aux": [a.data for a in out.aux_logits], "final": out.final_logits.data,
+            "evidence": out.evidence.data}
+
+
+class TestEvalChunks:
+    # eval rows are independent, so the chunked forward must equal one pass
+    # over all rows (the chunk length raised past the row count) bit for bit
+    C = mo._EVAL_ROWS
+    ROWS = (1, C - 1, C, C + 1, 3 * C + 5)
+
+    @pytest.mark.parametrize("variant", [None, "M", "A", "R", "L", "LM"])
+    def test_chunked_eval_is_exact(self, variant, monkeypatch):
+        cfg = tiny_config(num_scales=0 if variant is None else 2, variant=variant)
+        params, rng = mo.init(cfg), np.random.default_rng(21)
+        mo.forward(params, rng.standard_normal((6, 2, 32)) + 1.0, mode="train",
+                   rng=np.random.default_rng(0))  # move the running stats
+        x = rng.standard_normal((max(self.ROWS), 2, 32))
+        per_row = [mo.forward(params, x[i:i + 1], mode="eval") for i in range(len(x))]
+        for n in self.ROWS:
+            chunked = _forward_fields(mo.forward(params, x[:n], mode="eval"))
+            preds = [mo.predict(params, x[:n], head) for head in ("evidential", "softmax")]
+            with monkeypatch.context() as m:
+                m.setattr(mo, "_EVAL_ROWS", len(x))
+                whole = _forward_fields(mo.forward(params, x[:n], mode="eval"))
+                whole_preds = [mo.predict(params, x[:n], head)
+                               for head in ("evidential", "softmax")]
+            assert len(chunked["features"]) == len(whole["features"]) == cfg.num_scales + 1
+            assert len(chunked["aux"]) == len(whole["aux"]) == (cfg.num_scales + 1) * bool(variant)
+            for name in ("features", "aux"):
+                assert all(np.array_equal(a, b) for a, b in zip(chunked[name], whole[name]))
+            for name in ("mixed", "final", "evidence"):
+                assert np.array_equal(chunked[name], whole[name]), name
+            for pred, whole_pred in zip(preds, whole_preds):
+                assert all(np.array_equal(a, b) for a, b in zip(pred, whole_pred))
+            # the features are also each row's own forward, stacked (the
+            # heads are not: a one-row product may take another BLAS path)
+            assert np.array_equal(chunked["mixed"],
+                                  np.concatenate([o.mixed.data for o in per_row[:n]]))
+            for scale, feat in enumerate(chunked["features"]):
+                assert np.array_equal(feat, np.concatenate(
+                    [o.per_scale_features[scale].data for o in per_row[:n]]))
+
+    def test_empty_batch(self):
+        out = mo.forward(mo.init(tiny_config()), np.zeros((0, 2, 32)), mode="eval")
+        assert out.mixed.shape == (0, 8) and out.evidence.shape == (0, 3)
+
+    def test_eval_memory_does_not_grow_with_rows(self):
+        # traced allocation peak of one eval forward at desk scale: one
+        # pass over 8 C rows held about 8x the peak of C rows
+        cfg = mo.ModelConfig(channels=2, length=128, num_classes=4, num_scales=2,
+                             variant="M", conv_widths=(14, 14, 14))
+        params = mo.init(cfg)
+        x = np.random.default_rng(3).standard_normal((8 * self.C, 2, 128))
+        peaks = []
+        for n in (self.C, 8 * self.C):
+            tracemalloc.start()
+            try:
+                mo.forward(params, x[:n], mode="eval")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 class TestSerialization:
