@@ -9,7 +9,8 @@ matching is the biased MMD^2 under the polynomial kernel
 (x . y)^p = <x^(x)p, y^(x)p>, summed from the pooled batch Gram matrix;
 it may come out a few ulp below zero (not clamped).
 The RBF-kernel MMD and the sliced Wasserstein distance are measurement
-statistics for post-hoc reports and work on plain arrays.
+statistics for post-hoc reports and work on plain arrays; they check their
+inputs as the training losses do, so non-finite features raise DomainError.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegenerateBatchError, DomainError, ShapeError
-from .tensor import Tensor, _accumulate, _node, as_tensor
-
-METHODS = ("noadapt", "ddc", "coral", "homm", "mmda")
+from .tensor import _accumulate, _node, as_tensor
 
 DEFAULT_BANDWIDTH_SCALES = (0.5, 1.0, 2.0)
 DEFAULT_NUM_PROJECTIONS = 50
@@ -126,27 +125,18 @@ def mmda(src, tgt):
     return mmd_linear(src, tgt) + coral(src, tgt)
 
 
+LOSSES = {"ddc": mmd_linear, "coral": coral, "homm": homm, "mmda": mmda}
+METHODS = ("noadapt",) + tuple(LOSSES)
+
+
 def alignment_loss(method, src, tgt):
     """Dispatch a training alignment loss by its method tag."""
-    if method == "ddc":
-        return mmd_linear(src, tgt)
-    if method == "coral":
-        return coral(src, tgt)
-    if method == "homm":
-        return homm(src, tgt)
-    if method == "mmda":
-        return mmda(src, tgt)
-    raise ConfigError(f"no alignment loss for method {method!r}")
+    if method not in LOSSES:
+        raise ConfigError(f"no alignment loss for method {method!r}")
+    return LOSSES[method](src, tgt)
 
 
 # -- measurement statistics (plain numpy) ---------------------------------------
-
-
-def _as_array(features):
-    arr = features.data if isinstance(features, Tensor) else np.asarray(features, float)
-    if arr.ndim != 2:
-        raise ShapeError("feature batches must be [N, F]")
-    return arr
 
 
 def _pooled_sq_dists(src, tgt):
@@ -179,15 +169,14 @@ def _median_bandwidths(sq, scales):
 
 def median_heuristic_bandwidths(src, tgt, scales=DEFAULT_BANDWIDTH_SCALES):
     """Median pairwise distance over the pooled sample, scaled by `scales`."""
-    return _median_bandwidths(_pooled_sq_dists(_as_array(src), _as_array(tgt)), scales)
+    a, b = (t.data for t in _check_features(src, tgt))
+    return _median_bandwidths(_pooled_sq_dists(a, b), scales)
 
 
 def mmd_rbf(src, tgt, bandwidths=None):
     """Biased V-statistic MMD^2 under Gaussian kernels, summed over bandwidths;
     one pooled distance matrix serves the median heuristic and all blocks."""
-    a, b = _as_array(src), _as_array(tgt)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"feature widths differ: {a.shape[1]} vs {b.shape[1]}")
+    a, b = (t.data for t in _check_features(src, tgt))
     sq = _pooled_sq_dists(a, b)
     if bandwidths is None:
         bandwidths = _median_bandwidths(sq, DEFAULT_BANDWIDTH_SCALES)
@@ -224,9 +213,7 @@ def sliced_wd(src, tgt, n_projections=DEFAULT_NUM_PROJECTIONS, rng=None):
     Each projection's distance comes from the sorted-sample quantile
     coupling, interpolated linearly when the batch sizes differ.
     """
-    a, b = _as_array(src), _as_array(tgt)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"feature widths differ: {a.shape[1]} vs {b.shape[1]}")
+    a, b = (t.data for t in _check_features(src, tgt))
     if n_projections < 1:
         raise ConfigError("sliced_wd needs n_projections >= 1")
     if rng is None:

@@ -28,54 +28,33 @@ DEFAULT_POINTS = 100  # random points per finite-difference suite
 SUITES = ("ml", "ce", "mse", "kl", "alignment", "end2end")
 
 
-def evidential_suite(kind, points=DEFAULT_POINTS, seed=0):
-    """Gradients of one Bayesian-risk loss w.r.t. evidence."""
-    kind_tag = {"ml": 1, "ce": 2, "mse": 3}[kind]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, kind_tag]))
-    loss_fn = LOSSES[kind]
-    worst = 0.0
-    for _ in range(points):
-        n, k = 3, int(rng.integers(2, 5))
-        labels = LabelBatch.from_labels(rng.integers(0, k, n), k)
-        evidence = Tensor(rng.uniform(0.05, 4.0, (n, k)))
-        err = grad_check(
-            lambda e: loss_fn(evidence_to_alpha(e), labels).sum(), evidence)
-        worst = max(worst, err)
-    return worst
+# suite name -> the second entry of its SeedSequence
+_SEED_TAGS = {"ml": 1, "ce": 2, "mse": 3, "kl": 0x6B1, "alignment": 0xA119}
 
 
-def kl_suite(points=DEFAULT_POINTS, seed=0):
-    """Gradients of the misleading-evidence KL at alpha~ > 1."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B1]))
-    worst = 0.0
-    for _ in range(points):
-        n, k = 3, int(rng.integers(2, 5))
-        alpha_t = Tensor(rng.uniform(1.05, 4.0, (n, k)))
-        err = grad_check(lambda a: kl_to_uniform(a).sum(), alpha_t)
-        worst = max(worst, err)
-    return worst
-
-
-def alignment_suite(points=DEFAULT_POINTS, seed=0):
-    """Gradients of all four alignment losses w.r.t. both feature batches."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA119]))
-    losses = {
-        "ddc": alignment.mmd_linear,
-        "coral": alignment.coral,
-        "homm": lambda a, b: alignment.homm(a, b, order=3),
-        "mmda": alignment.mmda,
-    }
-    worst = 0.0
-    per_loss = max(points // len(losses), 1)
-    for loss_fn in losses.values():
-        for _ in range(per_loss):
-            n, width = 5, 3
-            src = Tensor(rng.standard_normal((n, width)))
-            # keep the means apart so mmd_linear stays off its zero
-            tgt = Tensor(rng.standard_normal((n, width)) + 1.0)
-            worst = max(worst, grad_check(lambda s: loss_fn(s, tgt), src))
-            worst = max(worst, grad_check(lambda t: loss_fn(src, t), tgt))
-    return worst
+def _loss_cases(name, rng, points):
+    """The (function, point) pairs of one loss suite, drawn lazily from `rng`:
+    each Bayesian-risk loss w.r.t. evidence, the misleading-evidence KL at
+    alpha~ > 1, or all four alignment losses w.r.t. both feature batches."""
+    if name in LOSSES:
+        loss_fn = LOSSES[name]
+        for _ in range(points):
+            n, k = 3, int(rng.integers(2, 5))
+            labels = LabelBatch.from_labels(rng.integers(0, k, n), k)
+            yield (lambda e: loss_fn(evidence_to_alpha(e), labels).sum(),
+                   Tensor(rng.uniform(0.05, 4.0, (n, k))))
+    elif name == "kl":
+        for _ in range(points):
+            n, k = 3, int(rng.integers(2, 5))
+            yield lambda a: kl_to_uniform(a).sum(), Tensor(rng.uniform(1.05, 4.0, (n, k)))
+    else:
+        for loss_fn in alignment.LOSSES.values():
+            for _ in range(max(points // len(alignment.LOSSES), 1)):
+                src = Tensor(rng.standard_normal((5, 3)))
+                # keep the means apart so mmd_linear stays off its zero
+                tgt = Tensor(rng.standard_normal((5, 3)) + 1.0)
+                yield lambda s: loss_fn(s, tgt), src
+                yield lambda t: loss_fn(src, t), tgt
 
 
 def end_to_end_suite(seed=0, step=1e-5):
@@ -107,12 +86,12 @@ def end_to_end_suite(seed=0, step=1e-5):
 
 def run_suite(name, points=DEFAULT_POINTS, seed=0):
     """Returns (worst error, tolerance) for one named suite."""
-    if name in LOSSES:
-        return evidential_suite(name, points=points, seed=seed), LOSS_TOLERANCE
-    if name == "kl":
-        return kl_suite(points=points, seed=seed), LOSS_TOLERANCE
-    if name == "alignment":
-        return alignment_suite(points=points, seed=seed), LOSS_TOLERANCE
     if name == "end2end":
         return end_to_end_suite(seed=seed), END_TO_END_TOLERANCE
-    raise ConfigError(f"unknown gradient suite {name!r}")
+    if name not in _SEED_TAGS:
+        raise ConfigError(f"unknown gradient suite {name!r}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _SEED_TAGS[name]]))
+    worst = 0.0
+    for fn, point in _loss_cases(name, rng, points):
+        worst = max(worst, grad_check(fn, point))
+    return worst, LOSS_TOLERANCE

@@ -20,7 +20,7 @@ from . import __version__
 from . import alignment, checks, data as da, metrics as me, model as mo
 from . import multiscale as ms
 from . import trainer as tr
-from .errors import ConfigError, NumericalAbort, ToolkitError
+from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError
 
 OUTPUT_DIR_ENV = "EVITS_OUTDIR"
 
@@ -288,38 +288,32 @@ def cmd_eval(args):
             f"model expects {k} classes but the file declares {batch.num_classes}")
     bins = run.get("bins")
     out_dir = _out_dir(run)
-    primary_head = params.train_meta.get("primary_head", "evidential")
+    primary_head = mo.resolve_head(params, "auto")
     run.echo.update({"model": args.model, "data": args.data,
                      "primary_head": primary_head})
 
     out = mo.eval_forward(params, batch.values)
     pred_e, probs_e, u = mo.head_outputs(params, out, head="evidential")
     pred_s, probs_s, _ = mo.head_outputs(params, out, head="softmax")
-    pred_p, probs_p = ((pred_e, probs_e) if primary_head == "evidential"
-                       else (pred_s, probs_s))
 
     truth = batch.labels
     f1_e = me.macro_f1(pred_e, truth, k)
     f1_s = me.macro_f1(pred_s, truth, k)
     ece_e, bins_e = me.ece(probs_e, truth, bins)
     ece_s, bins_s = me.ece(probs_s, truth, bins)
+    pred_p, probs_p, f1_p = ((pred_e, probs_e, f1_e) if primary_head == "evidential"
+                             else (pred_s, probs_s, f1_s))
     confusion = me.confusion_matrix(pred_p, truth, k)
     u_stats = me.uncertainty_stats(u)
 
-    per_class_f1 = []
-    per_class_u = []
-    for c in range(k):
-        mask = truth == c
-        if mask.any():
-            per_class_f1.append(me.macro_f1(pred_p[mask] == c,
-                                            np.ones(mask.sum(), int), 2))
-            per_class_u.append(float(u[mask].mean()))
-    rho = (me.spearman(per_class_f1, per_class_u) if len(per_class_f1) >= 3
-           else None)
+    present = confusion.sum(axis=1) > 0  # classes with rows in the file
+    per_class_u = [float(u[truth == c].mean()) for c in np.flatnonzero(present)]
+    rho = (me.spearman(me.per_class_f1(confusion)[present], per_class_u)
+           if len(per_class_u) >= 3 else None)
 
     body = [
         f"primary_head={primary_head}",
-        f"macro_f1={me.macro_f1(pred_p, truth, k)!r}",
+        f"macro_f1={f1_p!r}",
         f"macro_f1_evidential={f1_e!r}",
         f"macro_f1_softmax={f1_s!r}",
         f"ece_evidential={ece_e!r}",
@@ -354,7 +348,7 @@ def cmd_eval(args):
              for i in range(len(batch))]
     _write_report(os.path.join(out_dir, "per_sample.csv"), run.echo, rows)
 
-    print(f"macro_f1={me.macro_f1(pred_p, truth, k)!r} "
+    print(f"macro_f1={f1_p!r} "
           f"ece_evidential={ece_e!r} ece_softmax={ece_s!r}")
     print(f"reports written to {out_dir}")
     return EXIT_OK
@@ -374,8 +368,14 @@ def cmd_discrepancy(args):
     run.echo.update({"model": args.model, "source": args.source,
                      "target": args.target})
 
-    feats_src = mo.forward(params, source.values, mode="eval").mixed.data
-    feats_tgt = mo.forward(params, target.values, mode="eval").mixed.data
+    feats = []
+    for flag, path, batch in (("--source", args.source, source),
+                              ("--target", args.target, target)):
+        try:
+            feats.append(mo.eval_forward(params, batch.values).mixed.data)
+        except DomainError as exc:
+            raise DomainError(f"{flag} {path}: {exc}") from exc
+    feats_src, feats_tgt = feats
     bandwidths = [float(b) for b in
                   alignment.median_heuristic_bandwidths(feats_src, feats_tgt)]
     mmd_value = float(alignment.mmd_rbf(feats_src, feats_tgt, bandwidths))

@@ -33,19 +33,25 @@ def confusion_matrix(pred, truth, num_classes):
     return counts
 
 
-def macro_f1(pred, truth, num_classes):
-    """Unweighted mean of per-class F1.
+def per_class_f1(counts):
+    """F1 of each class from `confusion_matrix` counts.
 
-    A class absent from both pred and truth contributes 0 (recorded
+    A class absent from both pred and truth scores 0 (recorded
     zero-division convention; some benchmark splits genuinely miss
     classes)."""
-    counts = confusion_matrix(pred, truth, num_classes)
-    scores = np.zeros(num_classes)
-    for c in range(num_classes):
-        tp = counts[c, c]
-        denom = 2 * tp + (counts[:, c].sum() - tp) + (counts[c, :].sum() - tp)
-        scores[c] = 2.0 * tp / denom if denom else 0.0
-    return float(scores.mean())
+    tp = np.diagonal(counts)
+    denom = 2 * tp + (counts.sum(axis=0) - tp) + (counts.sum(axis=1) - tp)
+    return np.divide(2.0 * tp, denom, out=np.zeros(len(tp)), where=denom != 0)
+
+
+def macro_f1(pred, truth, num_classes):
+    """Unweighted mean of per-class F1."""
+    return float(per_class_f1(confusion_matrix(pred, truth, num_classes)).mean())
+
+
+def _bin_index(values, bins):
+    """Equal-width bins on (0, 1], right-closed; values at 0 join bin 0."""
+    return np.clip(np.ceil(values * bins).astype(np.int64) - 1, 0, bins - 1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ def ece(probs, truth, bins=DEFAULT_ECE_BINS):
     confidence = probs.max(axis=1)
     predicted = probs.argmax(axis=1)
     correct = (predicted == truth).astype(np.float64)
-    indices = np.clip(np.ceil(confidence * bins).astype(np.int64) - 1, 0, bins - 1)
+    indices = _bin_index(confidence, bins)
 
     table = []
     total = len(probs)
@@ -103,8 +109,7 @@ def uncertainty_stats(values, bins=DEFAULT_HIST_BINS):
         raise DomainError("uncertainty_stats needs at least one value")
     if np.any(values <= 0.0) or np.any(values > 1.0):
         raise DomainError("uncertainties must lie in (0, 1]")
-    indices = np.clip(np.ceil(values * bins).astype(np.int64) - 1, 0, bins - 1)
-    masses = np.bincount(indices, minlength=bins) / values.size
+    masses = np.bincount(_bin_index(values, bins), minlength=bins) / values.size
     return UncertaintyStats(mean=float(values.mean()), histogram=masses)
 
 

@@ -253,7 +253,8 @@ def forward(params, x, mode="train", rng=None, param_tensors=None):
     )
 
 
-def _resolve_head(params, head):
+def resolve_head(params, head):
+    """The head `head` names; "auto" reads the one training chose."""
     if head == "auto":
         head = params.train_meta.get("primary_head", "evidential")
     if head not in ("evidential", "softmax"):
@@ -271,10 +272,11 @@ def head_outputs(params, out, head="auto"):
     """`predict`'s outputs from an eval-mode `forward` result `out`."""
     dirichlet = evidence_to_alpha(out.evidence)
     u = uncertainty(dirichlet).data
-    if _resolve_head(params, head) == "evidential":
+    if resolve_head(params, head) == "evidential":
         probs = predict_mean(dirichlet).data
     else:
-        probs = tz.softmax(out.final_logits, axis=1).data
+        shift, _, total = ms.softmax_terms(out.final_logits.data)
+        probs = np.exp(shift - np.log(total))  # exp_shift / total would round differently
     return probs.argmax(axis=1), probs, u
 
 
@@ -292,7 +294,7 @@ def predict(params, values, head="auto"):
     head: "evidential" (Dirichlet mean), "softmax" (final softmax head) or
     "auto" (whatever the stored training meta says the model predicts with).
     """
-    head = _resolve_head(params, head)
+    head = resolve_head(params, head)
     return head_outputs(params, eval_forward(params, values), head)
 
 

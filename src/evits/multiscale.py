@@ -102,6 +102,18 @@ def mix_features(per_scale_features):
     return tz.concat(feats, axis=1)
 
 
+def softmax_terms(logits):
+    """(shift, exp(shift), row totals of exp(shift)) of [N, K] logits, with
+    shift the logits less their row max; the softmax is exp_shift / total,
+    the log-softmax shift - log(total).  Non-finite logits raise DomainError.
+    """
+    if not np.all(np.isfinite(logits)):
+        raise DomainError("logits must be finite")
+    shift = logits - logits.max(axis=1, keepdims=True)
+    exp_shift = np.exp(shift)
+    return shift, exp_shift, exp_shift.sum(axis=1, keepdims=True)
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean softmax cross-entropy over the batch.
 
@@ -112,11 +124,7 @@ def softmax_cross_entropy(logits, labels):
     y = labels.one_hot
     if logits.shape != y.shape:
         raise ShapeError(f"logits {logits.shape} do not match labels {y.shape}")
-    if not np.all(np.isfinite(logits.data)):
-        raise DomainError("logits must be finite")
-    shift = logits.data - logits.data.max(axis=1, keepdims=True)
-    exp_shift = np.exp(shift)
-    total = exp_shift.sum(axis=1, keepdims=True)
+    shift, exp_shift, total = softmax_terms(logits.data)
     per_sample = -(y * (shift - np.log(total))).sum(axis=1)
     n = y.shape[0]
 

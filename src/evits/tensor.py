@@ -2,7 +2,7 @@
 
 The supported primitive set is exactly what the model and losses need:
 elementwise arithmetic with numpy broadcasting, matmul, relu / softplus /
-exp / log, reductions, reshape / concatenation / cropping,
+log, reductions, reshape / concatenation / cropping,
 1-D convolution (cross-correlation, zero padding), 1-D pooling and a
 backbone block's batch-norm -> max-pool -> relu tail as one node.
 Applying an operation records the node on the implicit tape; ``backward``
@@ -216,16 +216,6 @@ def power(a, exponent):
         _accumulate(a, g * exponent * a.data ** (exponent - 1.0))
 
     return _node(out_data, (a,), bwd, f"pow{exponent}")
-
-
-def exp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * out_data)
-
-    return _node(out_data, (a,), bwd, "exp")
 
 
 def log(a):
@@ -526,20 +516,6 @@ def pool1d(x, kind, rng=None):
         _accumulate(x, gx)
 
     return _node(out_data, (x,), bwd, f"pool_{kind}")
-
-
-# -- composite helpers ---------------------------------------------------------
-
-
-def log_softmax(logits, axis=1):
-    logits = as_tensor(logits)
-    shift = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
-    lse = log(tsum(exp(shift), axis=axis, keepdims=True))
-    return shift - lse
-
-
-def softmax(logits, axis=1):
-    return exp(log_softmax(logits, axis=axis))
 
 
 # -- verification ---------------------------------------------------------------

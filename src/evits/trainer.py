@@ -95,6 +95,12 @@ class LossBreakdown:
     evidential: float
     total: float
 
+    @classmethod
+    def weighted(cls, weights, components):
+        """The breakdown of (cls, domain, evidential) under `weights`."""
+        c, d, e = (float(v) for v in components)
+        return cls(c, d, e, weights.lambda1 * c + weights.lambda2 * d + weights.lambda3 * e)
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -183,11 +189,7 @@ def combined_loss(fwd_src, fwd_tgt, labels, weights, schedule, evidential_kind, 
         evidential_value = float(evi.data)
         total = total + weights.lambda3 * evi
 
-    breakdown = LossBreakdown(
-        cls=cls_value, domain=domain_value, evidential=evidential_value,
-        total=weights.lambda1 * cls_value + weights.lambda2 * domain_value
-        + weights.lambda3 * evidential_value)
-    return total, breakdown
+    return total, LossBreakdown.weighted(weights, (cls_value, domain_value, evidential_value))
 
 
 class _AdamState:
@@ -219,7 +221,8 @@ class _AdamState:
 
 def _batch_starts(total, batch_size):
     starts = list(range(0, total, batch_size))
-    # a trailing singleton cannot feed covariance statistics; fold it away
+    # a trailing singleton cannot feed covariance statistics: that row is
+    # skipped for the epoch, not folded in (each epoch shuffles anew)
     if starts and total - starts[-1] < 2 and len(starts) > 1:
         starts.pop()
     return starts
@@ -319,13 +322,7 @@ def train(model_config, train_config, source, target):
             sums += (breakdown.cls, breakdown.domain, breakdown.evidential)
             steps += 1
 
-        mean = sums / max(steps, 1)
-        w = train_config.weights
-        losses = LossBreakdown(
-            cls=float(mean[0]), domain=float(mean[1]),
-            evidential=float(mean[2]),
-            total=float(w.lambda1 * mean[0] + w.lambda2 * mean[1]
-                        + w.lambda3 * mean[2]))
+        losses = LossBreakdown.weighted(train_config.weights, sums / max(steps, 1))
         pred, _, _ = mo.head_outputs(params, mo.forward(params, source.values, mode="eval"))
         f1 = metrics.macro_f1(pred, source.labels, model_config.num_classes)
         records.append(EpochRecord(

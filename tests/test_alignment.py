@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from evits import alignment as al
 from evits import tensor as tz
+from evits import trainer
 from evits.errors import ConfigError, DegenerateBatchError, DomainError, ShapeError
 from evits.tensor import Tensor, grad_check
 
@@ -93,7 +96,11 @@ def test_gradient_unequal_batches(name, loss):
         assert grad_check(lambda t: loss(src, t), tgt) < 1e-4
 
 
-@pytest.mark.parametrize("loss", [al.mmd_linear, al.coral, al.homm, al.mmda])
+@pytest.mark.parametrize("loss", [
+    al.mmd_linear, al.coral, al.homm, al.mmda, al.mmd_rbf,
+    al.median_heuristic_bandwidths,
+    pytest.param(functools.partial(al.sliced_wd, rng=np.random.default_rng(0)),
+                 id="sliced_wd")])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_features_raise_domain_error(loss, bad):
     src = np.random.default_rng(60).standard_normal((4, 3))
@@ -408,8 +415,10 @@ class TestSlicedWd:
 def test_alignment_loss_dispatch():
     rng = np.random.default_rng(12)
     src, tgt = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-    for method in ("ddc", "coral", "homm", "mmda"):
+    for method, loss in al.LOSSES.items():
         value = al.alignment_loss(method, src, tgt).data
-        assert np.isfinite(value)
+        assert np.isfinite(value) and value == loss(src, tgt).data
+    assert al.METHODS == ("noadapt", "ddc", "coral", "homm", "mmda")
+    assert set(al.METHODS) == set(trainer.METHOD_LAMBDA2)
     with pytest.raises(ConfigError):
         al.alignment_loss("noadapt", src, tgt)

@@ -6,16 +6,18 @@ from evits.errors import ConfigError
 
 @pytest.mark.parametrize("kind", ["ml", "ce", "mse"])
 def test_evidential_suites_small(kind):
-    worst = checks.evidential_suite(kind, points=10, seed=1)
-    assert worst < checks.LOSS_TOLERANCE
+    worst, tolerance = checks.run_suite(kind, points=10, seed=1)
+    assert worst < tolerance == checks.LOSS_TOLERANCE
 
 
 def test_kl_suite_small():
-    assert checks.kl_suite(points=10, seed=1) < checks.LOSS_TOLERANCE
+    worst, tolerance = checks.run_suite("kl", points=10, seed=1)
+    assert worst < tolerance == checks.LOSS_TOLERANCE
 
 
 def test_alignment_suite_small():
-    assert checks.alignment_suite(points=8, seed=1) < checks.LOSS_TOLERANCE
+    worst, tolerance = checks.run_suite("alignment", points=8, seed=1)
+    assert worst < tolerance == checks.LOSS_TOLERANCE
 
 
 def test_run_suite_dispatch():
@@ -26,6 +28,7 @@ def test_run_suite_dispatch():
 
 
 def test_suites_deterministic_per_seed():
-    a = checks.kl_suite(points=5, seed=3)
-    b = checks.kl_suite(points=5, seed=3)
-    assert a == b
+    for name in checks.SUITES:
+        a = checks.run_suite(name, points=5, seed=3)
+        assert a == checks.run_suite(name, points=5, seed=3)
+        assert 0.0 < a[0] < a[1]

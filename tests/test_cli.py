@@ -237,6 +237,26 @@ class TestEval:
                        "--out-dir", str(tmp_path / "e")) == 2
         assert "input row 4 holds NaN or inf" in capsys.readouterr().err
 
+    def test_spearman_line_ranks_per_class_f1(self, trained, tmp_path,
+                                              monkeypatch):
+        # hand oracle: every class has F1 2/3 (class 0 has two false
+        # positives, classes 1 and 2 one miss each), a three-way tie, so
+        # rho is 0; recall-only scores (1/2, 1/3, 1/3) would give -0.866
+        source, target, model = trained
+        truth, pred = np.array([0, 0, 1, 1, 2, 2]), np.array([0, 0, 0, 1, 0, 2])
+        values = da.read_evts(target).values[:6]
+        path = tmp_path / "six.evts"
+        da.write_evts(da.TimeSeriesBatch(values=values, labels=truth,
+                                         num_classes=3), path)
+        fixed = types.SimpleNamespace(**vars(mo))
+        fixed.head_outputs = lambda params, out, head: (
+            pred, np.eye(3)[pred], np.repeat([0.1, 0.2, 0.3], 2))
+        monkeypatch.setattr(cli, "mo", fixed)
+        assert run_cli("eval", "--model", str(model), "--data", str(path),
+                       "--out-dir", str(tmp_path / "e")) == 0
+        report = (tmp_path / "e" / "report.txt").read_text().splitlines()
+        assert "spearman_f1_uncertainty_per_class=0.0" in report
+
     def test_overfit_then_eval_reaches_one(self, tmp_path):
         run_cli("gen-data", "--out-dir", str(tmp_path), "--classes", "2",
                 "--channels", "1", "--length", "32", "--n-per-class", "4",
@@ -283,6 +303,22 @@ class TestDiscrepancy:
                            str(out), "--seed", "11") == 0
             texts.append((out / "discrepancy.txt").read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_non_finite_data_exits_2_naming_the_file(self, trained, tmp_path,
+                                                     capsys, side):
+        files = dict(zip(("source", "target"), trained[:2]))
+        batch = da.read_evts(files[side])
+        batch.values[4, 0, 7] = np.nan
+        files[side] = tmp_path / "poisoned.evts"
+        da.write_evts(batch, files[side])
+        out = tmp_path / "disc"
+        assert run_cli("discrepancy", "--model", str(trained[2]), "--source",
+                       str(files["source"]), "--target", str(files["target"]),
+                       "--out-dir", str(out)) == 2
+        assert (f"--{side} {files[side]}: input row 4 holds NaN or inf"
+                in capsys.readouterr().err)
+        assert not (out / "discrepancy.txt").exists()
 
 
 class TestGradcheck:

@@ -36,6 +36,25 @@ class TestMacroF1:
         with pytest.raises(DomainError):
             me.macro_f1([0, 3], [0, 1], 3)
 
+    def test_per_class_hand_oracle(self):
+        # class 0: tp 2, fp 2; classes 1 and 2: tp 1, fn 1; class 3 absent
+        counts = me.confusion_matrix([0, 0, 0, 1, 0, 2], [0, 0, 1, 1, 2, 2], 4)
+        assert me.per_class_f1(counts).tolist() == [2 / 3, 2 / 3, 2 / 3, 0.0]
+
+    def test_matches_per_class_loop(self):
+        # a per-class loop reference: the same float ops, so equal bit for bit
+        rng = np.random.default_rng(1)
+        for k in (2, 3, 7):
+            pred, truth = rng.integers(0, k, 50), rng.integers(0, k - 1, 50)
+            counts = me.confusion_matrix(pred, truth, k)
+            scores = np.zeros(k)
+            for c in range(k):
+                tp = counts[c, c]
+                denom = 2 * tp + (counts[:, c].sum() - tp) + (counts[c, :].sum() - tp)
+                scores[c] = 2.0 * tp / denom if denom else 0.0
+            assert np.array_equal(me.per_class_f1(counts), scores)
+            assert me.macro_f1(pred, truth, k) == float(scores.mean())
+
 
 class TestConfusion:
     def test_perfect_diagonal(self):

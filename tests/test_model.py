@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -194,6 +195,24 @@ class TestPredict:
         np.testing.assert_allclose(probs_e.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(probs_s.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((u > 0.0) & (u <= 1.0))
+
+    def test_softmax_head_is_exp_of_log_softmax(self):
+        params = mo.init(tiny_config())
+        out = mo.forward(params, np.random.default_rng(6).standard_normal((9, 2, 32)),
+                         mode="eval")
+        for scale in (1.0, 40.0):
+            logits = out.final_logits.data * scale
+            shift = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+            scaled = dataclasses.replace(out, final_logits=Tensor(logits))
+            pred, probs, _ = mo.head_outputs(params, scaled, head="softmax")
+            assert np.array_equal(probs, np.exp(log_probs))
+            assert np.array_equal(pred, logits.argmax(axis=1))
+        logits = out.final_logits.data.copy()
+        logits[3, 1] = np.nan
+        with pytest.raises(DomainError):
+            mo.head_outputs(params, dataclasses.replace(out, final_logits=Tensor(logits)),
+                            head="softmax")
 
     def test_unknown_head(self):
         params = mo.init(tiny_config())

@@ -161,8 +161,10 @@ class TestAuxClassificationLoss:
 
 
 def chain_cross_entropy(logits, labels):
-    # the chain of tensor primitives the one-node loss replaces
-    log_probs = tz.log_softmax(Tensor(logits), axis=1)
+    # the log-softmax chain the one-node loss replaces, written in tensor
+    # primitives; the row totals of exp(shift) enter as a constant
+    shift = Tensor(logits) - Tensor(logits.max(axis=1, keepdims=True))
+    log_probs = shift - tz.log(Tensor(np.exp(shift.data).sum(axis=1, keepdims=True)))
     return (-(Tensor(labels.one_hot) * log_probs).sum(axis=1)).mean()
 
 

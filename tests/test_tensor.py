@@ -367,10 +367,12 @@ def _composite_builders():
             return tz.tsum(h.relu() * h)
         return fn, (2, 3, 8)
 
-    def softmax_entropy(rng):
+    def normalized_entropy(rng):
+        # entropy of softplus weights normalized per row: div, sum and log
         def fn(x):
-            logp = tz.log_softmax(x.reshape((4, 5)), axis=1)
-            return -tz.tsum(tz.exp(logp) * logp)
+            q = tz.softplus(x).reshape((4, 5))
+            p = q / tz.tsum(q, axis=1, keepdims=True)
+            return -tz.tsum(p * tz.log(p))
         return fn, (20,)
 
     def gamma_chain(rng):
@@ -390,7 +392,7 @@ def _composite_builders():
             return tz.tsum(((x - mu) / ((var + 1e-5) ** 0.5)) ** 3)
         return fn, (5, 3)
 
-    return [conv_pool_dense, avgpool_relu, softmax_entropy, gamma_chain,
+    return [conv_pool_dense, avgpool_relu, normalized_entropy, gamma_chain,
             norm_chain]
 
 
