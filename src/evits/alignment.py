@@ -176,6 +176,11 @@ def median_heuristic_bandwidths(src, tgt, scales=DEFAULT_BANDWIDTH_SCALES):
 def mmd_rbf(src, tgt, bandwidths=None):
     """Biased V-statistic MMD^2 under Gaussian kernels, summed over bandwidths;
     one pooled distance matrix serves the median heuristic and all blocks."""
+    return _mmd_rbf(src, tgt, bandwidths)[0]
+
+
+def _mmd_rbf(src, tgt, bandwidths=None):
+    """`mmd_rbf` and the bandwidths it used, as (value, [float])."""
     a, b = (t.data for t in _check_features(src, tgt))
     sq = _pooled_sq_dists(a, b)
     if bandwidths is None:
@@ -193,7 +198,7 @@ def mmd_rbf(src, tgt, bandwidths=None):
         total += (np.exp(scale * d_ss).mean()
                   + np.exp(scale * d_tt).mean()
                   - 2.0 * np.exp(scale * d_st).mean())
-    return max(float(total), 0.0)
+    return max(float(total), 0.0), bandwidths
 
 
 def _quantile_coupling_w1(a_sorted, b_sorted):

@@ -376,9 +376,7 @@ def cmd_discrepancy(args):
         except DomainError as exc:
             raise DomainError(f"{flag} {path}: {exc}") from exc
     feats_src, feats_tgt = feats
-    bandwidths = [float(b) for b in
-                  alignment.median_heuristic_bandwidths(feats_src, feats_tgt)]
-    mmd_value = float(alignment.mmd_rbf(feats_src, feats_tgt, bandwidths))
+    mmd_value, bandwidths = alignment._mmd_rbf(feats_src, feats_tgt)
     wd_value = float(alignment.sliced_wd(feats_src, feats_tgt, n_proj,
                                          np.random.default_rng(seed)))
     body = [

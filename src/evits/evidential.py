@@ -5,10 +5,11 @@ simplex via alpha = e + 1, so zero evidence is the uniform prior.  The
 three Bayesian-risk losses, the misleading-evidence KL regularizer and
 the annealed total are all closed forms in alpha and differentiate
 through the tape, so they can sit directly in a training objective
-(Sensoy et al., 2018).  The two terms built on the log-gamma family, the
-CE risk and the KL, are one tape node each with a closed-form backward:
-the forward runs each special function once on alpha and its row totals
-stacked, and the backward makes one `trigamma` call.
+(Sensoy et al., 2018).  Each risk, alpha~ and the KL is one tape node
+with a plain-numpy forward and a closed-form backward.  The two built on
+the log-gamma family, the CE risk and the KL, run each special function
+once on alpha and its row totals stacked, and their backward makes one
+`trigamma` call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .special import digamma, lgamma, trigamma
-from .tensor import Tensor, _accumulate, _node, as_tensor
+from .tensor import _accumulate, _node, as_tensor
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,21 @@ def uncertainty(batch):
 
 
 def loss_ml(batch, labels):
-    """Per-sample negative log marginal likelihood: sum_k y_k (ln S - ln alpha_k)."""
+    """Per-sample negative log marginal likelihood: sum_k y_k (ln S - ln alpha_k).
+
+    One tape node; d/d alpha_k = (sum_j y_j) / S - y_k / alpha_k.
+    """
     _check_pair(batch, labels)
-    log_s = batch.total_evidence.log()
-    picked = (Tensor(labels.one_hot) * batch.alpha.log()).sum(axis=1)
-    return log_s - picked
+    alpha, y = batch.alpha, labels.one_hot
+    total = alpha.data.sum(axis=1)
+    _require_range(total, 0.0, "alpha row totals must be finite")
+    out = np.log(total) - (y * np.log(alpha.data)).sum(axis=1)
+
+    def bwd(g):
+        grad = y.sum(axis=1, keepdims=True) / total[:, None] - y / alpha.data
+        _accumulate(alpha, g[:, None] * grad)
+
+    return _node(out, (alpha,), bwd, "loss_ml")
 
 
 def loss_ce(batch, labels):
@@ -137,14 +148,28 @@ def loss_ce(batch, labels):
 
 
 def loss_mse(batch, labels):
-    """Per-sample Bayesian risk of squared error: fit term plus Dirichlet variance."""
+    """Per-sample Bayesian risk of squared error: fit term plus Dirichlet variance,
+    sum_k (y_k - p_k)^2 + p_k (1 - p_k) / (S + 1) with p = alpha / S.
+
+    One tape node; with h_k = 2 (p_k - y_k) + (1 - 2 p_k) / (S + 1),
+    d/d alpha_j = (h_j - sum_k h_k p_k) / S - sum_k p_k (1 - p_k) / (S + 1)^2.
+    """
     _check_pair(batch, labels)
-    p_hat = predict_mean(batch)
-    s1 = (batch.total_evidence + 1.0).reshape((-1, 1))
-    y = Tensor(labels.one_hot)
-    fit = (y - p_hat) ** 2
-    variance = p_hat * (1.0 - p_hat) / s1
-    return (fit + variance).sum(axis=1)
+    alpha, y = batch.alpha, labels.one_hot
+    total = alpha.data.sum(axis=1)[:, None]
+    _require_range(total, 0.0, "alpha row totals must be finite")
+    p = alpha.data / total
+    s1 = total + 1.0
+    variance = p * (1.0 - p) / s1
+    out = ((y - p) ** 2.0 + variance).sum(axis=1)
+
+    def bwd(g):
+        h = 2.0 * (p - y) + (1.0 - 2.0 * p) / s1
+        grad = ((h - (h * p).sum(axis=1, keepdims=True)) / total
+                - variance.sum(axis=1, keepdims=True) / s1)
+        _accumulate(alpha, g[:, None] * grad)
+
+    return _node(out, (alpha,), bwd, "loss_mse")
 
 
 # evidential loss kind -> per-sample Bayesian risk
@@ -152,10 +177,18 @@ LOSSES = {"ml": loss_ml, "ce": loss_ce, "mse": loss_mse}
 
 
 def alpha_tilde(batch, labels):
-    """Concentrations with the true class's evidence removed (entry forced to 1)."""
+    """Concentrations with the true class's evidence removed (entry forced to 1).
+
+    One tape node, y + (1 - y) alpha; d/d alpha_k = 1 - y_k.
+    """
     _check_pair(batch, labels)
-    y = labels.one_hot
-    return Tensor(y) + Tensor(1.0 - y) * batch.alpha
+    alpha, y = batch.alpha, labels.one_hot
+    keep = 1.0 - y
+
+    def bwd(g):
+        _accumulate(alpha, g * keep)
+
+    return _node(y + keep * alpha.data, (alpha,), bwd, "alpha_tilde")
 
 
 def kl_to_uniform(alpha_t):
@@ -167,8 +200,7 @@ def kl_to_uniform(alpha_t):
     alpha_t = as_tensor(alpha_t)
     if alpha_t.ndim != 2:
         raise ShapeError("alpha~ must be [N, K]")
-    if np.any(alpha_t.data < 1.0 - 1e-9):
-        raise DomainError("alpha~ entries must be >= 1")
+    _require_range(alpha_t.data, 1.0 - 1e-9, "alpha~ entries must be finite and >= 1")
     num_classes = alpha_t.shape[1]
     # lnGamma(K) rides along in the stack: one call per special function
     stacked = _with_totals(alpha_t.data, num_classes)

@@ -304,6 +304,28 @@ class TestDiscrepancy:
             texts.append((out / "discrepancy.txt").read_bytes())
         assert texts[0] == texts[1]
 
+    def test_one_distance_matrix_gives_reported_values(self, trained, tmp_path,
+                                                       monkeypatch):
+        # the bandwidths and the MMD come from one pooled distance matrix, and
+        # read as the median heuristic and mmd_rbf at those bandwidths do
+        source, target, model = trained
+        calls = []
+        pooled = cli.alignment._pooled_sq_dists
+        monkeypatch.setattr(cli.alignment, "_pooled_sq_dists",
+                            lambda *args: calls.append(1) or pooled(*args))
+        out = tmp_path / "disc"
+        assert run_cli("discrepancy", "--model", str(model), "--source",
+                       str(source), "--target", str(target), "--out-dir",
+                       str(out), "--seed", "11") == 0
+        assert len(calls) == 1
+        params = mo.load(model)
+        feats = [mo.eval_forward(params, da.read_evts(path).values).mixed.data
+                 for path in (source, target)]
+        widths = cli.alignment.median_heuristic_bandwidths(*feats)
+        lines = (out / "discrepancy.txt").read_text().splitlines()
+        assert f"mmd_rbf={cli.alignment.mmd_rbf(*feats, widths)!r}" in lines
+        assert "bandwidths=" + ",".join(map(repr, widths)) in lines
+
     @pytest.mark.parametrize("side", ["source", "target"])
     def test_non_finite_data_exits_2_naming_the_file(self, trained, tmp_path,
                                                      capsys, side):

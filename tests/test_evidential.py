@@ -116,6 +116,15 @@ class TestClosedForms:
         assert ev.loss_ml(dirichlet([[3, 1]]), labels([0], 2)).data[0] == \
             pytest.approx(math.log(4) - math.log(3), abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("kind", ["ml", "mse"])
+    def test_rejects_overflowing_total(self, kind):
+        # finite evidence whose row total overflows: ln S would be inf, and
+        # p = alpha / S would be 0 with a zero gradient
+        batch = ev.evidence_to_alpha(np.array([[1e308, 1e308]]))
+        with pytest.raises(DomainError, match="alpha row totals must be finite"):
+            ev.LOSSES[kind](batch, labels([0], 2))
+
     def test_loss_ml_uniform_is_log_k(self):
         for k in (2, 3, 5):
             batch = dirichlet([[2.5] * k])
@@ -178,8 +187,11 @@ class TestClosedForms:
         assert np.all(ev.kl_to_uniform(Tensor(alpha_t)).data >= -1e-12)
 
     def test_kl_domain(self):
-        with pytest.raises(DomainError):
-            ev.kl_to_uniform(Tensor([[0.5, 2.0]]))
+        # NaN and inf fail every comparison, so they need the range check too
+        for bad in (0.5, 1.0 - 1e-6, float("nan"), float("inf")):
+            with pytest.raises(DomainError,
+                               match="alpha~ entries must be finite and >= 1"):
+                ev.kl_to_uniform(Tensor([[bad, 2.0]]))
 
 
 class TestAnnealSchedule:
@@ -329,6 +341,35 @@ def _chain_kl(alpha, g):
     return value, g[:, None] * (via_alpha + via_total[:, None])
 
 
+def _chain_ml(alpha, y, g):
+    # plain reference in the tape's old order: ln S - sum_k y_k ln alpha_k,
+    # its gradient summed over the paths ln S and ln alpha
+    total = alpha.sum(axis=1)
+    value = np.log(total) - (y * np.log(alpha)).sum(axis=1)
+    return value, -g[:, None] * y / alpha + (g / total)[:, None]
+
+
+def _chain_mse(alpha, y, g):
+    # plain reference in the tape's old order: p = alpha / S, then
+    # sum_k (y_k - p_k)^2 + p_k (1 - p_k) / (S + 1); the gradient reaches
+    # alpha through p (the fit term and both variance factors) and through
+    # S, which feeds both p's divisor and S + 1
+    total = alpha.sum(axis=1)
+    s, s1 = total[:, None], (total + 1.0)[:, None]
+    p = alpha / s
+    spread = p * (1.0 - p)
+    value = ((y - p) ** 2.0 + spread / s1).sum(axis=1)
+    g_spread = g[:, None] / s1
+    g_p = -2.0 * g[:, None] * (y - p) + g_spread * (1.0 - p) - g_spread * p
+    via_total = (-(g_p * alpha / (s * s)).sum(axis=1)
+                 - (g[:, None] * spread / (s1 * s1)).sum(axis=1))
+    return value, g_p / s + via_total[:, None]
+
+
+# evidential loss kind -> its plain reference chain
+CHAINS = {"ml": _chain_ml, "ce": _chain_ce, "mse": _chain_mse}
+
+
 def _assert_close(got, want):
     # relative per entry, as the gradient suites measure it
     gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
@@ -363,6 +404,25 @@ class TestFusedNodesAgainstChain:
         _assert_close(out.data, value)
         _assert_close(leaf.grad, grad)
 
+    @pytest.mark.parametrize("kind", ["ml", "mse"])
+    def test_loss_ml_mse(self, k, regime, kind):
+        alpha, y, g = self.operands(k, regime)
+        leaf = Tensor(alpha, requires_grad=True)
+        out = ev.LOSSES[kind](ev.DirichletBatch(leaf), y)
+        backward((out * Tensor(g)).sum())
+        value, grad = CHAINS[kind](alpha, y.one_hot, g)
+        assert np.array_equal(out.data, value)
+        _assert_close(leaf.grad, grad)
+
+    def test_alpha_tilde(self, k, regime):
+        alpha, y, _ = self.operands(k, regime)
+        g = self.rng.standard_normal(alpha.shape)
+        leaf = Tensor(alpha, requires_grad=True)
+        out = ev.alpha_tilde(ev.DirichletBatch(leaf), y)
+        backward((out * Tensor(g)).sum())
+        assert np.array_equal(out.data, y.one_hot + (1.0 - y.one_hot) * alpha)
+        _assert_close(leaf.grad, g * (1.0 - y.one_hot))
+
     def test_kl_to_uniform(self, k, regime):
         alpha, _, g = self.operands(k, regime)
         leaf = Tensor(alpha, requires_grad=True)
@@ -374,13 +434,21 @@ class TestFusedNodesAgainstChain:
 
     @pytest.mark.parametrize("epoch", [0, 10])  # KL coefficient 0 and 1
     def test_evidential_total(self, k, regime, epoch):
+        self.check_total(k, regime, epoch, "ce")
+
+    @pytest.mark.parametrize("kind", ["ml", "mse"])
+    @pytest.mark.parametrize("epoch", [0, 10])
+    def test_evidential_total_ml_mse(self, k, regime, epoch, kind):
+        self.check_total(k, regime, epoch, kind)
+
+    def check_total(self, k, regime, epoch, kind):
         alpha, y, _ = self.operands(k, regime)
         schedule = ev.AnnealSchedule(epoch)
         leaf = Tensor(alpha, requires_grad=True)
-        out = ev.evidential_total(ev.DirichletBatch(leaf), y, schedule, "ce")
+        out = ev.evidential_total(ev.DirichletBatch(leaf), y, schedule, kind)
         backward(out)
         ones = np.ones(len(alpha))
-        value, grad = _chain_ce(alpha, y.one_hot, ones)
+        value, grad = CHAINS[kind](alpha, y.one_hot, ones)
         coeff = schedule.coefficient()
         if coeff:
             tilde = y.one_hot + (1.0 - y.one_hot) * alpha
@@ -389,3 +457,16 @@ class TestFusedNodesAgainstChain:
             grad = grad + coeff * (1.0 - y.one_hot) * kl_grad
         _assert_close(out.data, np.sum(value))
         _assert_close(leaf.grad, grad)
+
+
+@pytest.mark.parametrize("name", [*ev.LOSSES, "alpha_tilde", "kl_to_uniform"])
+def test_each_term_is_one_tape_node(name):
+    # a term rebuilt as a chain of generic nodes would have other parents
+    alpha = Tensor([[2.0, 1.0, 3.5], [1.0, 4.0, 1.5]], requires_grad=True)
+    y = labels([0, 2], 3)
+    if name == "kl_to_uniform":
+        out = ev.kl_to_uniform(alpha)
+    else:
+        term = ev.LOSSES.get(name, ev.alpha_tilde)
+        out = term(ev.DirichletBatch(alpha), y)
+    assert out._parents == (alpha,)
