@@ -150,7 +150,7 @@ def _pooled_sq_dists(src, tgt):
     return np.maximum(sq, 0.0, out=sq)
 
 
-def _median_bandwidths(sq, scales):
+def _median_bandwidths(sq):
     """The median heuristic from the pooled squared distances `sq`: one copy
     of the off-diagonal entries (a strided view that skips each diagonal
     step), partitioned in place.  Only the middle two get a square root,
@@ -164,13 +164,7 @@ def _median_bandwidths(sq, scales):
         median = float((np.sqrt(off[mid - 1]) + np.sqrt(off[mid])) / 2)
     if median <= 0.0:
         median = 1.0
-    return [median * s for s in scales]
-
-
-def median_heuristic_bandwidths(src, tgt, scales=DEFAULT_BANDWIDTH_SCALES):
-    """Median pairwise distance over the pooled sample, scaled by `scales`."""
-    a, b = (t.data for t in _check_features(src, tgt))
-    return _median_bandwidths(_pooled_sq_dists(a, b), scales)
+    return [median * s for s in DEFAULT_BANDWIDTH_SCALES]
 
 
 def mmd_rbf(src, tgt, bandwidths=None):
@@ -184,7 +178,7 @@ def _mmd_rbf(src, tgt, bandwidths=None):
     a, b = (t.data for t in _check_features(src, tgt))
     sq = _pooled_sq_dists(a, b)
     if bandwidths is None:
-        bandwidths = _median_bandwidths(sq, DEFAULT_BANDWIDTH_SCALES)
+        bandwidths = _median_bandwidths(sq)
     bandwidths = [float(w) for w in bandwidths]
     if not bandwidths:
         raise ConfigError("mmd_rbf needs a non-empty bandwidth list")

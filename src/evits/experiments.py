@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,26 @@ from . import alignment, data as da, metrics as me, model as mo, trainer as tr
 STUDY_METHODS = ("noadapt", "ddc")
 SHIFT_STRENGTHS = (0.5, 1.0, 1.5)
 MULTISCALE_VARIANT = "M"
+
+
+@dataclass(frozen=True)
+class Arm:
+    """One study configuration; `variant=None` is the single-scale model."""
+
+    method: str
+    evidential: str
+    variant: str | None = None
+    shift_strength: float = 1.0
+
+
+# per seed, in run order: every method with and without the evidential-CE
+# head at the reference strength 1.0; evidential noadapt at the other
+# strengths (with the reference run, the uncertainty-vs-F1 correlation);
+# plain ddc with `MULTISCALE_VARIANT` for the feature-discrepancy comparison
+STUDY_ARMS = (*(Arm(m, e) for m in STUDY_METHODS for e in ("none", "ce")),
+              *(Arm("noadapt", "ce", shift_strength=s)
+                for s in SHIFT_STRENGTHS if s != 1.0),
+              Arm("ddc", "none", MULTISCALE_VARIANT))
 
 
 @dataclass(frozen=True)
@@ -83,10 +103,7 @@ def benchmark_domains(settings, seed, shift_strength):
 @dataclass(frozen=True)
 class RunResult:
     seed: int
-    method: str
-    evidential: str
-    variant: str | None
-    shift_strength: float
+    arm: Arm
     target_f1: float          # primary head
     target_ece: float         # primary head
     target_f1_softmax: float
@@ -97,26 +114,25 @@ class RunResult:
     wall_clock: float
 
 
-def run_uda(settings, seed, method, evidential, variant=None,
-            shift_strength=1.0):
-    """Train one configuration and measure the quantities the directional
-    claims compare.  `variant=None` means the single-scale model."""
+def run_uda(settings, seed, arm):
+    """Train one study arm on one seed and measure the quantities the
+    directional claims compare."""
     started = time.perf_counter()
     source, target, src_train, tgt_train = benchmark_domains(
-        settings, seed, shift_strength)
+        settings, seed, arm.shift_strength)
     model_config = mo.ModelConfig(
         channels=settings.channels, length=settings.length,
         num_classes=settings.num_classes,
-        num_scales=settings.num_scales if variant else 0,
-        variant=variant, conv_widths=settings.conv_widths,
+        num_scales=settings.num_scales if arm.variant else 0,
+        variant=arm.variant, conv_widths=settings.conv_widths,
         kernel_sizes=settings.kernel_sizes, seed=seed)
     weights = tr.LossWeights(
-        lambda1=1.0, lambda2=tr.METHOD_LAMBDA2[method],
-        lambda3=0.0 if evidential == "none" else settings.lambda3)
+        lambda1=1.0, lambda2=tr.METHOD_LAMBDA2[arm.method],
+        lambda3=0.0 if arm.evidential == "none" else settings.lambda3)
     train_config = tr.TrainConfig(
         epochs=settings.epochs, batch_size=settings.batch_size,
-        learning_rate=settings.learning_rate, evidential=evidential,
-        method=method, weights=weights, seed=seed)
+        learning_rate=settings.learning_rate, evidential=arm.evidential,
+        method=arm.method, weights=weights, seed=seed)
     params, _ = tr.train(model_config, train_config, src_train, tgt_train)
 
     k = settings.num_classes
@@ -128,8 +144,7 @@ def run_uda(settings, seed, method, evidential, variant=None,
     _, _, u_src = mo.head_outputs(params, out_src)
 
     return RunResult(
-        seed=seed, method=method, evidential=evidential, variant=variant,
-        shift_strength=shift_strength,
+        seed=seed, arm=arm,
         target_f1=me.macro_f1(pred_p, target.labels, k),
         target_ece=me.ece(probs_p, target.labels)[0],
         target_f1_softmax=me.macro_f1(pred_s, target.labels, k),
@@ -140,48 +155,17 @@ def run_uda(settings, seed, method, evidential, variant=None,
         wall_clock=time.perf_counter() - started)
 
 
-@dataclass
-class BenchmarkOutcome:
-    """Everything criterion-style directional checks need, plus raw rows."""
-
-    runs: dict = field(default_factory=dict)  # (method, evidential, variant, strength) -> [RunResult]
-
-    def rows(self, method, evidential, variant=None, strength=1.0):
-        return self.runs[(method, evidential, variant, strength)]
-
-
 def run_benchmark(settings=None, seeds=range(10), progress=None):
-    """The full desk-scale study.
-
-    At the reference strength (1.0): every method with and without the
-    evidential-CE head.  Extra strengths: evidential noadapt runs for the
-    uncertainty-vs-F1 correlation.  Multi-scale: plain ddc runs with
-    `MULTISCALE_VARIANT` for the feature-discrepancy comparison.
-    """
+    """The full desk-scale study: every arm of `STUDY_ARMS` on every seed,
+    seed by seed, as {Arm: [RunResult] in seed order}."""
     settings = settings or BenchmarkSettings()
-    outcome = BenchmarkOutcome()
-
-    def record(key, result):
-        outcome.runs.setdefault(key, []).append(result)
-        if progress:
-            progress(key, result)
-
+    runs = {arm: [] for arm in STUDY_ARMS}
     for seed in seeds:
-        for method in STUDY_METHODS:
-            for evidential in ("none", "ce"):
-                result = run_uda(settings, seed, method, evidential,
-                                 shift_strength=1.0)
-                record((method, evidential, None, 1.0), result)
-        for strength in SHIFT_STRENGTHS:
-            if strength == 1.0:
-                continue  # reuse the reference runs
-            result = run_uda(settings, seed, "noadapt", "ce",
-                             shift_strength=strength)
-            record(("noadapt", "ce", None, strength), result)
-        result = run_uda(settings, seed, "ddc", "none",
-                         variant=MULTISCALE_VARIANT, shift_strength=1.0)
-        record(("ddc", "none", MULTISCALE_VARIANT, 1.0), result)
-    return outcome
+        for arm in STUDY_ARMS:
+            runs[arm].append(run_uda(settings, seed, arm))
+            if progress:
+                progress(runs[arm][-1])
+    return runs
 
 
 @dataclass(frozen=True)
@@ -205,9 +189,9 @@ class Verdict:
                 f"(needs {self.threshold}) [{values}]")
 
 
-def verdicts(outcome):
-    """Criteria 5 and 6, sub-claim by sub-claim, on a `run_benchmark` outcome."""
-    plain, evi = ([outcome.rows(m, kind) for m in STUDY_METHODS]
+def verdicts(runs):
+    """Criteria 5 and 6, sub-claim by sub-claim, on `run_benchmark`'s runs."""
+    plain, evi = ([runs[Arm(m, kind)] for m in STUDY_METHODS]
                   for kind in ("none", "ce"))
 
     def wins(claim, pairs, beats, need):
@@ -225,17 +209,17 @@ def verdicts(outcome):
               for m, e_rows, p_rows in zip(STUDY_METHODS, evi, plain)]
     table.append(wins("5(c) noadapt+CE mean u, target > source", [
         (r.uncertainty_target, r.uncertainty_source) for r in evi[0]], operator.gt, 8))
-    runs = [(r.target_f1, r.uncertainty_target)
-            for s in SHIFT_STRENGTHS for r in outcome.rows("noadapt", "ce", None, s)]
-    rho = me.spearman(*zip(*runs))
-    table.append(Verdict("5(d) Spearman rho(target F1, u), noadapt+CE", tuple(runs), rho,
-                         "<= -0.3 over >= 30 runs", len(runs) >= 30 and rho <= -0.3))
-    seconds = tuple(r.wall_clock for k, rows in outcome.runs.items() if k[2] is None
+    points = [(r.target_f1, r.uncertainty_target) for s in SHIFT_STRENGTHS
+              for r in runs[Arm("noadapt", "ce", shift_strength=s)]]
+    rho = me.spearman(*zip(*points))
+    table.append(Verdict("5(d) Spearman rho(target F1, u), noadapt+CE", tuple(points), rho,
+                         "<= -0.3 over >= 30 runs", len(points) >= 30 and rho <= -0.3))
+    seconds = tuple(r.wall_clock for arm, rows in runs.items() if arm.variant is None
                     for r in rows)
     table.append(Verdict("5 runtime of the single-scale runs, s", seconds, sum(seconds),
                          "<= 600", sum(seconds) <= 600.0))
     table.append(wins("6 ddc feature MMD, M < single-scale", [
         (m.feature_mmd, b.feature_mmd) for m, b in zip(
-            outcome.rows("ddc", "none", MULTISCALE_VARIANT),
-            outcome.rows("ddc", "none"))], operator.lt, 6))
+            runs[Arm("ddc", "none", MULTISCALE_VARIANT)], runs[Arm("ddc", "none")])],
+        operator.lt, 6))
     return table

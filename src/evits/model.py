@@ -327,6 +327,8 @@ def load(path):
         header = json.loads(blob.decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
         train_meta = header.get("train_meta", {})
+        if not isinstance(train_meta, dict):
+            raise TypeError("train_meta is not a JSON object")
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"model header is not a valid config ({exc})", offset=at) from exc
     shapes = layout(config)

@@ -98,7 +98,7 @@ def test_gradient_unequal_batches(name, loss):
 
 @pytest.mark.parametrize("loss", [
     al.mmd_linear, al.coral, al.homm, al.mmda, al.mmd_rbf,
-    al.median_heuristic_bandwidths,
+    pytest.param(lambda s, t: al._mmd_rbf(s, t)[1], id="median_heuristic_bandwidths"),
     pytest.param(functools.partial(al.sliced_wd, rng=np.random.default_rng(0)),
                  id="sliced_wd")])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -315,12 +315,12 @@ def reference_sq_dists(a, b):
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
-def reference_bandwidths(src, tgt, scales=al.DEFAULT_BANDWIDTH_SCALES):
+def reference_bandwidths(src, tgt):
     pooled = np.vstack([src, tgt])
     dists = np.sqrt(reference_sq_dists(pooled, pooled))
     off_diag = dists[~np.eye(len(pooled), dtype=bool)]
     median = float(np.median(off_diag)) if off_diag.size else 0.0
-    return [(median if median > 0.0 else 1.0) * s for s in scales]
+    return [(median if median > 0.0 else 1.0) * s for s in al.DEFAULT_BANDWIDTH_SCALES]
 
 
 def reference_mmd_rbf(src, tgt, bandwidths=None):
@@ -357,15 +357,13 @@ RBF_CASES = [(4, 2, 3), (2, 2, 5), (1, 1, 4), (7, 12, 2), (200, 200, 42),
 @pytest.mark.parametrize("case", RBF_CASES, ids=str)
 def test_mmd_rbf_matches_three_product_reference(case):
     src, tgt = rbf_batches(case)
-    assert al.median_heuristic_bandwidths(src, tgt) == reference_bandwidths(src, tgt)
-    assert al.mmd_rbf(src, tgt) == reference_mmd_rbf(src, tgt)
+    assert al._mmd_rbf(src, tgt) == (reference_mmd_rbf(src, tgt),
+                                     reference_bandwidths(src, tgt))
     assert al.mmd_rbf(src, tgt, [0.3, 2.5]) == reference_mmd_rbf(src, tgt, [0.3, 2.5])
-    assert (al.median_heuristic_bandwidths(src, tgt, (1.0,))
-            == reference_bandwidths(src, tgt, (1.0,)))
 
 
 def test_median_fallback_is_unit_width():
-    assert al.median_heuristic_bandwidths(*rbf_batches("all_equal")) == [0.5, 1.0, 2.0]
+    assert al._mmd_rbf(*rbf_batches("all_equal"))[1] == [0.5, 1.0, 2.0]
 
 
 class TestSlicedWd:

@@ -105,6 +105,13 @@ class TestTrain:
         da.write_evts(batch, poisoned)
         assert run_cli(*train_args(poisoned, target, tmp_path / "x")) == 3
 
+    def test_alignment_without_target_exits_2(self, dataset, tmp_path, capsys):
+        source, _ = dataset
+        args = train_args(source, "unused", tmp_path / "x")
+        del args[3:5]  # --target and its path
+        assert run_cli(*args) == 2
+        assert "needs --target" in capsys.readouterr().err
+
     def test_config_file_flags_win(self, dataset, tmp_path):
         source, target = dataset
         config = tmp_path / "run.conf"
@@ -307,7 +314,9 @@ class TestDiscrepancy:
     def test_one_distance_matrix_gives_reported_values(self, trained, tmp_path,
                                                        monkeypatch):
         # the bandwidths and the MMD come from one pooled distance matrix, and
-        # read as the median heuristic and mmd_rbf at those bandwidths do
+        # read as the plain-numpy median heuristic and mmd_rbf at those
+        # bandwidths do
+        from test_alignment import reference_bandwidths
         source, target, model = trained
         calls = []
         pooled = cli.alignment._pooled_sq_dists
@@ -321,7 +330,7 @@ class TestDiscrepancy:
         params = mo.load(model)
         feats = [mo.eval_forward(params, da.read_evts(path).values).mixed.data
                  for path in (source, target)]
-        widths = cli.alignment.median_heuristic_bandwidths(*feats)
+        widths = reference_bandwidths(*feats)
         lines = (out / "discrepancy.txt").read_text().splitlines()
         assert f"mmd_rbf={cli.alignment.mmd_rbf(*feats, widths)!r}" in lines
         assert "bandwidths=" + ",".join(map(repr, widths)) in lines

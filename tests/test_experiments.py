@@ -32,10 +32,8 @@ def test_domain_specs_scale_shift():
 
 def test_run_uda_fields_and_determinism():
     settings = quick_settings()
-    a = ex.run_uda(settings, seed=1, method="noadapt", evidential="ce",
-                   shift_strength=1.0)
-    b = ex.run_uda(settings, seed=1, method="noadapt", evidential="ce",
-                   shift_strength=1.0)
+    a = ex.run_uda(settings, 1, ex.Arm("noadapt", "ce", shift_strength=1.0))
+    b = ex.run_uda(settings, 1, ex.Arm("noadapt", "ce", shift_strength=1.0))
     assert a.target_f1 == b.target_f1
     assert a.target_ece == b.target_ece
     assert a.uncertainty_target == b.uncertainty_target
@@ -44,27 +42,35 @@ def test_run_uda_fields_and_determinism():
 
 
 def test_feature_mmd_is_a_python_float(tmp_path):
-    result = ex.run_uda(quick_settings(epochs=1), seed=0, method="noadapt",
-                        evidential="none")
+    result = ex.run_uda(quick_settings(epochs=1), 0, ex.Arm("noadapt", "none"))
     assert type(result.feature_mmd) is float
-    # the study script's CSV writes it with repr, so the column must parse
+    # the study script's CSV writes it with repr, so the column must parse;
+    # the arm's four fields stand in for `arm`, and the rows go arm by arm
+    # in STUDY_ARMS order, seeds within
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_uda.py"
     spec = importlib.util.spec_from_file_location("run_synthetic_uda", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     out = tmp_path / "rows.csv"
-    assert script.main(["--seeds", "1", "--epochs", "1", "--out", str(out)]) == 0
+    assert script.main(["--seeds", "2", "--epochs", "1", "--out", str(out)]) == 0
     with open(out, encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 7
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [
+        "seed", "method", "evidential", "variant", "shift_strength", "target_f1",
+        "target_ece", "target_f1_softmax", "target_ece_softmax",
+        "uncertainty_source", "uncertainty_target", "feature_mmd"]
+    assert [(r["method"], r["evidential"], r["variant"], r["shift_strength"], r["seed"])
+            for r in rows] == [
+        (arm.method, arm.evidential, arm.variant or "none", repr(arm.shift_strength),
+         str(seed)) for arm in ex.STUDY_ARMS for seed in (0, 1)]
     assert all(float(r["feature_mmd"]) >= 0.0 for r in rows)
 
 
 def test_run_uda_multiscale_variant():
     settings = quick_settings()
-    result = ex.run_uda(settings, seed=0, method="ddc", evidential="none",
-                        variant="M", shift_strength=1.0)
-    assert result.variant == "M"
+    result = ex.run_uda(settings, 0, ex.Arm("ddc", "none", "M", 1.0))
+    assert result.arm.variant == "M"
     assert np.isfinite(result.feature_mmd)
 
 
@@ -79,8 +85,7 @@ def test_run_uda_one_forward_per_domain_matches_five(monkeypatch):
         return kept[-1], None
 
     monkeypatch.setattr(tr, "train", keep)
-    result = ex.run_uda(settings, seed=2, method="ddc", evidential="ce",
-                        variant="M")
+    result = ex.run_uda(settings, 2, ex.Arm("ddc", "ce", "M"))
     params, k = kept[0], settings.num_classes
     source, target, _, _ = ex.benchmark_domains(settings, 2, 1.0)
     pred_p, probs_p, u_tgt = mo.predict(params, target.values)
@@ -89,7 +94,7 @@ def test_run_uda_one_forward_per_domain_matches_five(monkeypatch):
     feats_src = mo.forward(params, source.values, mode="eval").mixed.data
     feats_tgt = mo.forward(params, target.values, mode="eval").mixed.data
     want = ex.RunResult(
-        seed=2, method="ddc", evidential="ce", variant="M", shift_strength=1.0,
+        seed=2, arm=ex.Arm("ddc", "ce", "M", 1.0),
         target_f1=me.macro_f1(pred_p, target.labels, k),
         target_ece=me.ece(probs_p, target.labels)[0],
         target_f1_softmax=me.macro_f1(pred_s, target.labels, k),
@@ -105,19 +110,26 @@ def test_run_uda_one_forward_per_domain_matches_five(monkeypatch):
 def test_run_uda_scores_the_head_the_model_predicts_with():
     # lambda3 = 0 leaves the evidential head untrained, so training marks
     # the softmax head primary and the primary scores are the softmax ones
-    result = ex.run_uda(ex.BenchmarkSettings(epochs=3, lambda3=0.0), seed=0,
-                        method="ddc", evidential="ce")
+    result = ex.run_uda(ex.BenchmarkSettings(epochs=3, lambda3=0.0), 0,
+                        ex.Arm("ddc", "ce"))
     assert result.target_f1 == result.target_f1_softmax
     assert result.target_ece == result.target_ece_softmax
 
 
 def test_benchmark_outcome_bookkeeping():
-    outcome = ex.run_benchmark(quick_settings(), seeds=range(2))
-    assert len(outcome.rows("noadapt", "none")) == 2
-    assert len(outcome.rows("ddc", "ce")) == 2
-    assert len(outcome.rows("noadapt", "ce", None, 1.5)) == 2
-    assert len(outcome.rows("ddc", "none", "M")) == 2
-    table = ex.verdicts(outcome)
+    # seven arms per seed, in the study's run order
+    assert ex.STUDY_ARMS == (
+        ex.Arm("noadapt", "none"), ex.Arm("noadapt", "ce"), ex.Arm("ddc", "none"),
+        ex.Arm("ddc", "ce"), ex.Arm("noadapt", "ce", None, 0.5),
+        ex.Arm("noadapt", "ce", None, 1.5), ex.Arm("ddc", "none", "M"))
+    runs = ex.run_benchmark(quick_settings(), seeds=range(2))
+    assert list(runs) == list(ex.STUDY_ARMS)
+    assert [[r.seed for r in rows] for rows in runs.values()] == [[0, 1]] * 7
+    assert len(runs[ex.Arm("noadapt", "none")]) == 2
+    assert len(runs[ex.Arm("ddc", "ce")]) == 2
+    assert len(runs[ex.Arm("noadapt", "ce", None, 1.5)]) == 2
+    assert len(runs[ex.Arm("ddc", "none", "M")]) == 2
+    table = ex.verdicts(runs)
     assert [len(v.values) for v in table] == [2, 2, 2, 2, 2, 6, 12, 2]
 
 
@@ -131,30 +143,30 @@ def test_verdicts_on_hand_made_runs():
     # 5(c): 7 wins, 1 tie
     u_source = [v - g for v, g in zip(u[10:20], [0.1] * 7 + [0.0] + [-0.1] * 2)]
     columns = {
-        ("noadapt", "none", None, 1.0): dict(target_f1=f1[10:20]),
-        ("noadapt", "ce", None, 1.0): dict(  # 5(b): 5 wins, 1 tie
+        ex.Arm("noadapt", "none", None, 1.0): dict(target_f1=f1[10:20]),
+        ex.Arm("noadapt", "ce", None, 1.0): dict(  # 5(b): 5 wins, 1 tie
             target_f1=f1[10:20], target_ece=[0.05] * 5 + [0.1] + [0.2] * 4,
             uncertainty_target=u[10:20], uncertainty_source=u_source),
-        ("ddc", "none", None, 1.0): {},
-        ("ddc", "ce", None, 1.0): dict(target_f1=ddc_f1, target_ece=[0.05] * 2 + [0.2] * 8),
-        ("noadapt", "ce", None, 0.5): dict(target_f1=f1[:10], uncertainty_target=u[:10]),
-        ("noadapt", "ce", None, 1.5): dict(target_f1=f1[20:], uncertainty_target=u[20:]),
-        ("ddc", "none", "M", 1.0): dict(  # 6: 5 wins, 2 ties; not a core run
+        ex.Arm("ddc", "none", None, 1.0): {},
+        ex.Arm("ddc", "ce", None, 1.0): dict(target_f1=ddc_f1,
+                                              target_ece=[0.05] * 2 + [0.2] * 8),
+        ex.Arm("noadapt", "ce", None, 0.5): dict(target_f1=f1[:10], uncertainty_target=u[:10]),
+        ex.Arm("noadapt", "ce", None, 1.5): dict(target_f1=f1[20:], uncertainty_target=u[20:]),
+        ex.Arm("ddc", "none", "M", 1.0): dict(  # 6: 5 wins, 2 ties; not a core run
             feature_mmd=[0.1] * 5 + [0.2] * 2 + [0.3] * 3, wall_clock=[1e9] * 10)}
     base = dict(target_f1=0.5, target_ece=0.1, target_f1_softmax=0.5,
                 target_ece_softmax=0.1, uncertainty_source=0.3,
                 uncertainty_target=0.4, feature_mmd=0.2, wall_clock=10.0)
-    outcome = ex.BenchmarkOutcome()
-    for key, values in columns.items():
-        outcome.runs[key] = [ex.RunResult(seed, *key, **{
-            **base, **{name: v[seed] for name, v in values.items()}}) for seed in range(10)]
+    runs = {arm: [ex.RunResult(seed, arm, **{
+        **base, **{name: v[seed] for name, v in values.items()}}) for seed in range(10)]
+        for arm, values in columns.items()}
 
     # ranks 1..30 against 30..1 give sum d^2 = 8990 (rho = -1); the swap makes it 8988
     rho = 1.0 - 6.0 * 8988 / (30 * (30 * 30 - 1))
     want = [("5(a) method-average", 5, False), ("5(a) mean", (sum(ddc_f1) - 5.0) / 20, True),
             ("5(b) noadapt", 6, True), ("5(b) ddc", 2, False), ("5(c)", 7, False),
             ("5(d)", rho, True), ("5 runtime", 600.0, True), ("6 ", 5, False)]
-    table = ex.verdicts(outcome)
+    table = ex.verdicts(runs)
     for verdict, (claim, statistic, passed) in zip(table, want, strict=True):
         assert verdict.claim.startswith(claim) and verdict.passed is passed
         assert type(verdict.statistic) is type(statistic)

@@ -344,6 +344,10 @@ class TestSerialization:
         pytest.param(tiny_header(conv_widths=[2 ** 30, 4, 4]), id="huge-conv_widths"),
         pytest.param(tiny_header(channels=2 ** 40), id="huge-channels"),
         pytest.param(tiny_header(num_classes=2 ** 40), id="huge-num_classes"),
+        # a train_meta that is not an object would load and fail in resolve_head
+        *(pytest.param(json.dumps({"config": tiny_config().to_dict(), "train_meta": meta})
+                       .encode(), id=f"train_meta-{type(meta).__name__}")
+          for meta in ([["primary_head", "softmax"]], "evidential", 3)),
     ])
     def test_bad_header_under_valid_checksum(self, tmp_path, header):
         import zlib

@@ -268,10 +268,11 @@ class TestTrain:
 
     def test_alignment_needs_target(self):
         source, _ = synth_pair()
-        cfg = train_config(method="coral",
-                           weights=tr.default_weights("coral", "none"))
-        with pytest.raises(ConfigError):
-            tr.train(tiny_model_config(), cfg, source, None)
+        for method in ("coral", "ddc"):
+            cfg = train_config(method=method,
+                               weights=tr.default_weights(method, "none"))
+            with pytest.raises(ConfigError, match=f"'{method}' needs target data"):
+                tr.train(tiny_model_config(), cfg, source, None)
 
     def test_evidential_component_scale_stable_across_batch_size(self):
         # L_evi is divided by batch size, so halving the batch keeps the
