@@ -19,7 +19,7 @@ from .evidential import (
     kl_to_uniform,
 )
 from .tensor import Tensor, backward, central_difference_error, grad_check
-from .trainer import LossWeights, combined_loss
+from .trainer import LossWeights, TrainConfig, combined_loss
 
 LOSS_TOLERANCE = 1e-4
 END_TO_END_TOLERANCE = 1e-3
@@ -67,14 +67,13 @@ def end_to_end_suite(seed=0, step=1e-5):
     x_src = rng.standard_normal((4, 1, 16))
     x_tgt = rng.standard_normal((4, 1, 16)) + 0.5
     labels = LabelBatch.from_labels(rng.integers(0, 2, 4), 2)
-    weights = LossWeights(lambda1=1.0, lambda2=1.0, lambda3=1.0)
+    recipe = TrainConfig(evidential="ce", method="ddc", weights=LossWeights(lambda2=1.0))
     schedule = AnnealSchedule(epoch=12)
 
     def loss_value(tensors):
         fwd_s = mo.forward(params, x_src, mode="train", param_tensors=tensors)
         fwd_t = mo.forward(params, x_tgt, mode="train", param_tensors=tensors)
-        return combined_loss(fwd_s, fwd_t, labels, weights, schedule,
-                             "ce", "ddc")[0]
+        return combined_loss(fwd_s, fwd_t, labels, recipe, schedule)[0]
 
     tensors = mo.make_param_tensors(params)
     backward(loss_value(tensors))

@@ -236,11 +236,10 @@ def _model_config_from(run, source):
 def _train_config_from(run):
     method, evidential = run.get("method"), run.get("evidential")
     defaults = tr.default_weights(method, evidential)
-    lambda3 = run.get("lambda3", defaults.lambda3)
     weights = tr.LossWeights(
         lambda1=run.get("lambda1", defaults.lambda1),
         lambda2=run.get("lambda2", defaults.lambda2),
-        lambda3=0.0 if evidential == "none" else lambda3)
+        lambda3=run.get("lambda3", defaults.lambda3))
     return tr.TrainConfig(
         epochs=run.get("epochs"), batch_size=run.get("batch_size"),
         learning_rate=run.get("learning_rate"),
@@ -252,13 +251,9 @@ def _train_config_from(run):
 def cmd_train(args):
     run = _Run(args)
     source = da.read_evts(args.source)
-    if not source.labeled:
-        raise ConfigError("the source file carries no labels")
     target = da.read_evts(args.target) if args.target else None
     model_config = _model_config_from(run, source)
     train_config = _train_config_from(run)
-    if train_config.method != "noadapt" and target is None:
-        raise ConfigError(f"method {train_config.method!r} needs --target")
 
     params, log = tr.train(model_config, train_config, source, target)
 
@@ -415,12 +410,8 @@ def cmd_gradcheck(args):
 def cmd_select_lambda3(args):
     run = _Run(args)
     source = da.read_evts(args.source)
-    if not source.labeled:
-        raise ConfigError("the source file carries no labels")
     target = da.read_evts(args.target)
     target_val = da.read_evts(args.target_val) if args.target_val else target
-    if not target_val.labeled:
-        raise ConfigError("lambda3 selection needs a labeled target subset")
     grid = run.get("grid")
     model_config = _model_config_from(run, source)
     train_config = _train_config_from(run)

@@ -126,9 +126,7 @@ def run_uda(settings, seed, arm):
         num_scales=settings.num_scales if arm.variant else 0,
         variant=arm.variant, conv_widths=settings.conv_widths,
         kernel_sizes=settings.kernel_sizes, seed=seed)
-    weights = tr.LossWeights(
-        lambda1=1.0, lambda2=tr.METHOD_LAMBDA2[arm.method],
-        lambda3=0.0 if arm.evidential == "none" else settings.lambda3)
+    weights = tr.LossWeights(lambda2=tr.METHOD_LAMBDA2[arm.method], lambda3=settings.lambda3)
     train_config = tr.TrainConfig(
         epochs=settings.epochs, batch_size=settings.batch_size,
         learning_rate=settings.learning_rate, evidential=arm.evidential,

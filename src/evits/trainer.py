@@ -34,6 +34,11 @@ METHOD_LAMBDA2 = {"noadapt": 0.0, "ddc": 1.0, "coral": 1.0, "homm": 0.1,
 
 DEFAULT_LAMBDA3_GRID = (0.01, 0.1, 0.5, 1.0)
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -55,12 +60,11 @@ def default_weights(method, evidential="ce"):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training recipe; `aligns` and `evidential_on` say which loss terms run."""
+
     epochs: int = 40
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
     evidential: str = "ce"  # none | ml | ce | mse
     method: str = "noadapt"
@@ -79,6 +83,19 @@ class TrainConfig:
             raise ConfigError(f"method must be one of {alignment.METHODS}")
         if self.anneal_horizon < 1:
             raise ConfigError("anneal horizon must be positive")
+        if self.method == "noadapt" and self.weights.lambda2 != 0.0:
+            warnings.warn("method 'noadapt' ignores lambda2; domain loss forced "
+                          "to 0", stacklevel=3)
+
+    @property
+    def aligns(self):
+        """The domain term runs: a method other than noadapt, lambda2 != 0."""
+        return self.method != "noadapt" and self.weights.lambda2 != 0.0
+
+    @property
+    def evidential_on(self):
+        """The evidential term runs: a kind other than none, lambda3 != 0."""
+        return self.evidential != "none" and self.weights.lambda3 != 0.0
 
     def to_dict(self):
         out = asdict(self)
@@ -147,13 +164,14 @@ class _ComponentFailure(ToolkitError):
         self.component = component
 
 
-def combined_loss(fwd_src, fwd_tgt, labels, weights, schedule, evidential_kind, method):
+def combined_loss(fwd_src, fwd_tgt, labels, config, schedule):
     """Assemble total = l1 * L_cls + l2 * L_d + l3 * (L_evi / N).
 
     Classification and evidential terms use the source only; the domain
-    term compares mixed features of the two domains.  Returns the scalar
-    tape node and the unweighted component breakdown.
+    term, run only when `config.aligns`, compares mixed features of the
+    two domains.  Returns the scalar tape node and the unweighted breakdown.
     """
+    weights = config.weights
     try:
         loss = aux_classification_loss(fwd_src.final_logits, fwd_src.aux_logits, labels)
     except DomainError as exc:
@@ -162,15 +180,9 @@ def combined_loss(fwd_src, fwd_tgt, labels, weights, schedule, evidential_kind, 
     total = weights.lambda1 * loss
 
     domain_value = 0.0
-    if method == "noadapt":
-        if weights.lambda2 != 0.0:
-            warnings.warn("method 'noadapt' ignores lambda2; domain loss forced "
-                          "to 0", stacklevel=2)
-    elif weights.lambda2 != 0.0:
-        if fwd_tgt is None:
-            raise ConfigError(f"method {method!r} needs a target batch")
+    if config.aligns:
         try:
-            domain = alignment.alignment_loss(method, fwd_src.mixed,
+            domain = alignment.alignment_loss(config.method, fwd_src.mixed,
                                               fwd_tgt.mixed)
         except DomainError as exc:
             raise _ComponentFailure("domain") from exc
@@ -178,12 +190,12 @@ def combined_loss(fwd_src, fwd_tgt, labels, weights, schedule, evidential_kind, 
         total = total + weights.lambda2 * domain
 
     evidential_value = 0.0
-    if weights.lambda3 != 0.0 and evidential_kind != "none":
+    if config.evidential_on:
         n = fwd_src.evidence.shape[0]
         try:
             evi = evidential_total(
                 evidence_to_alpha(fwd_src.evidence), labels, schedule,
-                evidential_kind) * (1.0 / n)
+                config.evidential) * (1.0 / n)
         except DomainError as exc:
             raise _ComponentFailure("evidential") from exc
         evidential_value = float(evi.data)
@@ -203,20 +215,20 @@ class _AdamState:
     def apply(self, params, grads):
         self.step_count += 1
         cfg = self.config
-        bias1 = 1.0 - cfg.beta1 ** self.step_count
-        bias2 = 1.0 - cfg.beta2 ** self.step_count
+        bias1 = 1.0 - BETA1 ** self.step_count
+        bias2 = 1.0 - BETA2 ** self.step_count
         for name in self.names:
             grad = grads.get(name)
             if grad is None:
                 continue
             if cfg.weight_decay:
                 grad = grad + cfg.weight_decay * params.arrays[name]
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * grad
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * grad * grad
+            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * grad
+            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * grad * grad
             m_hat = self.m[name] / bias1
             v_hat = self.v[name] / bias2
             params.arrays[name] = params.arrays[name] - cfg.learning_rate * m_hat \
-                / (np.sqrt(v_hat) + cfg.adam_eps)
+                / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _batch_starts(total, batch_size):
@@ -254,21 +266,23 @@ def _finite_check(named_values, epoch, step, kind="loss component"):
 def train(model_config, train_config, source, target):
     """Train on labeled source plus (optionally) unlabeled target.
 
-    Target labels, if present in the batch, are ignored.  Returns the
-    final parameters and the full log.
+    Checks every precondition before the first step: a labeled, non-empty
+    source, and a non-empty target when `train_config.aligns`, the only case
+    that reads the target (never its labels).  Returns parameters and log.
     """
     if not source.labeled:
         raise ConfigError("the source batch must carry labels")
-    if train_config.method != "noadapt" and target is None:
-        raise ConfigError(f"method {train_config.method!r} needs target data")
+    if len(source) == 0:
+        raise ConfigError("the source batch holds no rows")
+    needs_target = train_config.aligns
+    if needs_target and (target is None or len(target) == 0):
+        raise ConfigError(f"method {train_config.method!r} needs a non-empty target batch")
     if source.num_classes != model_config.num_classes:
         raise ConfigError("source num_classes does not match the model")
 
     params = mo.init(model_config)
-    evidential_active = (train_config.evidential != "none"
-                         and train_config.weights.lambda3 > 0.0)
     params.train_meta = {
-        "primary_head": "evidential" if evidential_active else "softmax",
+        "primary_head": "evidential" if train_config.evidential_on else "softmax",
         **train_config.to_dict(),
     }
     seeds = np.random.SeedSequence([int(train_config.seed), 0x7EA1]).spawn(3)
@@ -277,8 +291,6 @@ def train(model_config, train_config, source, target):
     pool_rng = np.random.default_rng(seeds[2])
 
     optimizer = _AdamState(params, train_config)
-    needs_target = train_config.method != "noadapt" \
-        and train_config.weights.lambda2 != 0.0
     target_sampler = _CyclingSampler(len(target), target_rng) \
         if needs_target else None
     inputs = {"source": source, "target": target} if needs_target else {"source": source}
@@ -309,9 +321,8 @@ def train(model_config, train_config, source, target):
                 fwd_tgt = mo.forward(params, tb, mode="train", rng=pool_rng,
                                      param_tensors=tensors)
             try:
-                total, breakdown = combined_loss(
-                    fwd_src, fwd_tgt, yb, train_config.weights, schedule,
-                    train_config.evidential, train_config.method)
+                total, breakdown = combined_loss(fwd_src, fwd_tgt, yb,
+                                                 train_config, schedule)
             except _ComponentFailure as exc:
                 raise NumericalAbort(exc.component, epoch, step) from exc
             _finite_check(asdict(breakdown), epoch, step)

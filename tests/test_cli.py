@@ -106,11 +106,17 @@ class TestTrain:
         assert run_cli(*train_args(poisoned, target, tmp_path / "x")) == 3
 
     def test_alignment_without_target_exits_2(self, dataset, tmp_path, capsys):
-        source, _ = dataset
+        source, target = dataset
         args = train_args(source, "unused", tmp_path / "x")
         del args[3:5]  # --target and its path
         assert run_cli(*args) == 2
-        assert "needs --target" in capsys.readouterr().err
+        assert "'ddc' needs a non-empty target batch" in capsys.readouterr().err
+        # a target file with no rows fails the same way before the first step
+        batch = da.read_evts(target)
+        empty = tmp_path / "empty.evts"
+        da.write_evts(batch.subset([]), empty)
+        assert run_cli(*train_args(source, empty, tmp_path / "y")) == 2
+        assert "'ddc' needs a non-empty target batch" in capsys.readouterr().err
 
     def test_config_file_flags_win(self, dataset, tmp_path):
         source, target = dataset

@@ -53,8 +53,9 @@ class TestCombinedLoss:
         fwd = fake_forward(np.abs(rng.standard_normal((4, 3))), logits)
         y = LabelBatch.from_labels([0, 1, 2, 0], 3)
         weights = tr.LossWeights(lambda1=1.0, lambda2=0.0, lambda3=0.0)
-        total, parts = tr.combined_loss(fwd, None, y, weights,
-                                        AnnealSchedule(0), "none", "noadapt")
+        total, parts = tr.combined_loss(fwd, None, y,
+                                        train_config(weights=weights),
+                                        AnnealSchedule(0))
         from evits.multiscale import softmax_cross_entropy
         want = softmax_cross_entropy(Tensor(logits), y).data
         assert total.data == pytest.approx(float(want), abs=1e-12)
@@ -66,8 +67,9 @@ class TestCombinedLoss:
         fwd = fake_forward(np.abs(rng.standard_normal((4, 2))), logits)
         y = LabelBatch.from_labels([0, 1, 0, 1], 2)
         weights = tr.LossWeights(lambda1=1.0, lambda2=1.0, lambda3=0.0)
-        _, parts = tr.combined_loss(fwd, fwd, y, weights, AnnealSchedule(0),
-                                    "none", "ddc")
+        _, parts = tr.combined_loss(fwd, fwd, y,
+                                    train_config(method="ddc", weights=weights),
+                                    AnnealSchedule(0))
         assert parts.domain == 0.0
 
     def test_single_sample_ce_hand_value(self):
@@ -75,8 +77,9 @@ class TestCombinedLoss:
         fwd = fake_forward([[1.0, 0.0]], [[0.0, 0.0]])
         y = LabelBatch.from_labels([0], 2)
         weights = tr.LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0)
-        total, parts = tr.combined_loss(fwd, None, y, weights,
-                                        AnnealSchedule(0), "ce", "noadapt")
+        total, parts = tr.combined_loss(
+            fwd, None, y, train_config(evidential="ce", weights=weights),
+            AnnealSchedule(0))
         assert total.data == pytest.approx(0.5, abs=1e-12)
         assert parts.evidential == pytest.approx(0.5, abs=1e-12)
 
@@ -86,9 +89,9 @@ class TestCombinedLoss:
         weights = tr.LossWeights(lambda1=1.0, lambda2=0.5, lambda3=0.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _, parts = tr.combined_loss(fwd, None, y, weights,
-                                        AnnealSchedule(0), "none", "noadapt")
+            cfg = train_config(weights=weights)
         assert any("noadapt" in str(w.message) for w in caught)
+        _, parts = tr.combined_loss(fwd, None, y, cfg, AnnealSchedule(0))
         assert parts.domain == 0.0
 
     def test_accounting_identity(self):
@@ -99,8 +102,8 @@ class TestCombinedLoss:
                              rng.standard_normal((5, 3)))
         y = LabelBatch.from_labels(rng.integers(0, 3, 5), 3)
         weights = tr.LossWeights(lambda1=0.7, lambda2=1.3, lambda3=2.1)
-        total, parts = tr.combined_loss(fwd_s, fwd_t, y, weights,
-                                        AnnealSchedule(3), "mse", "coral")
+        cfg = train_config(method="coral", evidential="mse", weights=weights)
+        total, parts = tr.combined_loss(fwd_s, fwd_t, y, cfg, AnnealSchedule(3))
         reconstructed = (0.7 * parts.cls + 1.3 * parts.domain
                          + 2.1 * parts.evidential)
         assert total.data == pytest.approx(reconstructed, abs=1e-9)
@@ -266,13 +269,41 @@ class TestTrain:
         with pytest.raises(ConfigError):
             tr.train(tiny_model_config(), train_config(), unlabeled, None)
 
-    def test_alignment_needs_target(self):
+    def test_empty_source_rejected(self):
         source, _ = synth_pair()
+        with pytest.raises(ConfigError, match="source batch holds no rows"):
+            tr.train(tiny_model_config(), train_config(), source.subset([]), None)
+
+    def test_alignment_needs_target(self):
+        source, target = synth_pair()
         for method in ("coral", "ddc"):
             cfg = train_config(method=method,
                                weights=tr.default_weights(method, "none"))
-            with pytest.raises(ConfigError, match=f"'{method}' needs target data"):
-                tr.train(tiny_model_config(), cfg, source, None)
+            # an empty target fails here, not in the first step's sampler
+            for missing in (None, target.subset([])):
+                with pytest.raises(ConfigError,
+                                   match=f"'{method}' needs a non-empty target"):
+                    tr.train(tiny_model_config(), cfg, source, missing)
+
+    def test_alignment_off_never_reads_the_target(self):
+        # ddc with lambda2 = 0 runs no domain term, so it needs no target
+        # and trains the noadapt model bit for bit
+        source, _ = synth_pair(seed=17)
+        weights = tr.LossWeights(lambda1=1.0, lambda2=0.0, lambda3=1.0)
+        runs = [tr.train(tiny_model_config(), train_config(
+            method=method, evidential="ce", weights=weights, epochs=2), source, None)[0]
+            for method in ("ddc", "noadapt")]
+        assert runs[0].arrays.keys() == runs[1].arrays.keys()
+        for name in runs[0].arrays:
+            assert np.array_equal(runs[0].arrays[name], runs[1].arrays[name])
+
+    def test_noadapt_lambda2_warns_once_per_config(self):
+        source, _ = synth_pair(seed=18)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = train_config(weights=tr.LossWeights(lambda2=0.5), epochs=2)
+            tr.train(tiny_model_config(), cfg, source, None)
+        assert sum("ignores lambda2" in str(w.message) for w in caught) == 1
 
     def test_evidential_component_scale_stable_across_batch_size(self):
         # L_evi is divided by batch size, so halving the batch keeps the
@@ -350,6 +381,15 @@ class TestSelectLambda3:
         with pytest.raises(ConfigError):
             tr.select_lambda3([0.1], tiny_model_config(), train_config(),
                               source, target, unlabeled)
+
+
+def test_train_config_derived_switches():
+    assert not train_config().aligns
+    assert not train_config(method="ddc", weights=tr.LossWeights(lambda2=0.0)).aligns
+    assert train_config(method="ddc", weights=tr.LossWeights(lambda2=1.0)).aligns
+    assert not train_config(evidential="none", weights=tr.LossWeights()).evidential_on
+    assert not train_config(evidential="ce", weights=tr.LossWeights(lambda3=0.0)).evidential_on
+    assert train_config(evidential="ce", weights=tr.LossWeights()).evidential_on
 
 
 def test_train_config_validation():
