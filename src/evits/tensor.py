@@ -6,8 +6,10 @@ log, reductions, reshape / concatenation / cropping,
 1-D convolution (cross-correlation, zero padding), 1-D pooling and a
 backbone block's batch-norm -> max-pool -> relu tail as one node.
 Applying an operation records the node on the implicit tape; ``backward``
-on a scalar output replays it and accumulates one gradient array per
-reachable tensor.
+on a scalar output replays it and accumulates one gradient array per leaf
+that needs one.  It frees the graph as it goes: once a node's backward has
+run, the node drops its closure, parents and gradient, so only leaves keep
+``.grad``, and a second backward of the same graph raises ``ContractError``.
 
 Everything is value-semantic and deterministic: random pooling takes an
 explicit ``numpy.random.Generator`` and reproduces bit-identical output
@@ -137,10 +139,13 @@ def _unbroadcast(grad, shape):
 
 
 def backward(output):
-    """Replay the tape behind a scalar and accumulate gradients.
+    """Replay the tape behind a scalar, accumulate gradients and free it.
 
-    Every tensor reachable through recorded parents gets exactly one
-    gradient array per call (grads are cleared first, then accumulated).
+    Every leaf that needs one gets exactly one gradient array per call
+    (grads are cleared first, then accumulated).  Each op node drops its
+    gradient, closure and parents once its backward has run, so the graph
+    is freed as the sweep goes; a second backward through it raises
+    ``ContractError``.
     """
     if not isinstance(output, Tensor):
         raise ContractError("backward expects a Tensor")
@@ -157,6 +162,9 @@ def backward(output):
             continue
         if id(node) in seen:
             continue
+        if node._op != "leaf" and not node._parents:
+            raise ContractError(f"backward through a consumed {node._op!r} node: "
+                                "an earlier backward already freed this graph")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -166,9 +174,12 @@ def backward(output):
     for node in topo:
         node.grad = None
     output.grad = np.ones_like(output.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad, node._backward, node._parents = None, None, ()
 
 
 # -- elementwise arithmetic ---------------------------------------------------

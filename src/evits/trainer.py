@@ -361,6 +361,9 @@ def select_lambda3(grid, model_config, train_config, source, target,
         raise ConfigError("lambda3 grid must not be empty")
     if not target_val.labeled:
         raise ConfigError("lambda3 selection needs a labeled target subset")
+    if train_config.evidential == "none":
+        raise ConfigError("lambda3 selection needs an evidential head: "
+                          "with evidential 'none' lambda3 changes nothing")
     rows = []
     best = None
     for value in grid:

@@ -402,6 +402,18 @@ class TestSelectLambda3:
                 if line and not line.startswith("#")]
         assert len(rows) == 3
 
+    def test_no_evidential_head_exits_2(self, dataset, tmp_path, capsys):
+        source, target = dataset
+        out = tmp_path / "sel3"
+        code = run_cli("select-lambda3", "--source", str(source), "--target",
+                       str(target), "--out-dir", str(out), "--grid",
+                       "0.1,0.5", "--epochs", "2", "--widths", "4,4,4",
+                       "--kernels", "5,3,3", "--evidential", "none",
+                       "--seed", "0")
+        assert code == 2
+        assert "needs an evidential head" in capsys.readouterr().err
+        assert not (out / "lambda3_risk.csv").exists()
+
 
 class TestConfigFile:
     def test_value_that_does_not_parse_exits_2(self, tmp_path, capsys):

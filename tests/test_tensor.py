@@ -327,11 +327,32 @@ class TestBackward:
             backward(x * 2.0)
 
     def test_one_gradient_per_call(self):
+        # two graphs over one leaf: the second call resets the leaf's grad
         x = Tensor(arr(1.0, 2.0), requires_grad=True)
-        loss = tz.tsum(x * 3.0)
-        backward(loss)
-        backward(loss)  # grads reset, not double-accumulated
+        backward(tz.tsum(x * 3.0))
+        backward(tz.tsum(x * 3.0))
         assert np.array_equal(x.grad, arr(3, 3))
+
+    def test_backward_frees_the_graph(self):
+        x = Tensor(arr(1.0, 2.0), requires_grad=True)
+        scaled = x * 3.0
+        loss = tz.tsum(scaled * scaled)
+        backward(loss)
+        for node in (scaled, loss):
+            assert node.grad is None and node._backward is None
+            assert node._parents == ()
+        assert np.array_equal(x.grad, arr(18, 36))
+
+    def test_second_backward_of_a_consumed_graph_raises(self):
+        x = Tensor(arr(1.0, 2.0), requires_grad=True)
+        scaled = x * 3.0
+        loss = tz.tsum(scaled)
+        backward(loss)
+        with pytest.raises(ContractError, match="consumed 'sum' node"):
+            backward(loss)
+        with pytest.raises(ContractError, match="consumed 'mul' node"):
+            backward(tz.tsum(scaled))  # a new node over a consumed one
+        assert np.array_equal(x.grad, arr(3, 3))  # the refused call changed nothing
 
     def test_broadcast_gradients(self):
         x = Tensor(np.ones((3, 4)), requires_grad=True)

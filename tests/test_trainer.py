@@ -1,10 +1,13 @@
 import dataclasses
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from evits import data as da
+from evits import experiments as ex
 from evits import metrics as me
 from evits import model as mo
 from evits import trainer as tr
@@ -342,9 +345,22 @@ class TestSelectLambda3:
 
     def test_empty_grid(self):
         source, target = synth_pair()
-        with pytest.raises(ConfigError):
-            tr.select_lambda3([], tiny_model_config(), train_config(),
+        with pytest.raises(ConfigError, match="must not be empty"):
+            tr.select_lambda3([], tiny_model_config(),
+                              train_config(evidential="ce"),
                               source, target, target)
+
+    def test_no_evidential_head_rejected_before_training(self, monkeypatch):
+        # lambda3 is inert without the evidential term: every grid value
+        # would train the same model
+        source, target = synth_pair()
+        calls = []
+        monkeypatch.setattr(tr, "train", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="needs an evidential head"):
+            tr.select_lambda3([0.1, 0.5], tiny_model_config(),
+                              train_config(evidential="none"),
+                              source, target, target)
+        assert calls == []
 
     def test_failed_point_marked_and_skipped(self):
         source, target = synth_pair(seed=13)
@@ -378,8 +394,9 @@ class TestSelectLambda3:
         source, target = synth_pair()
         unlabeled = da.TimeSeriesBatch(values=target.values, labels=None,
                                        num_classes=2)
-        with pytest.raises(ConfigError):
-            tr.select_lambda3([0.1], tiny_model_config(), train_config(),
+        with pytest.raises(ConfigError, match="labeled target subset"):
+            tr.select_lambda3([0.1], tiny_model_config(),
+                              train_config(evidential="ce"),
                               source, target, unlabeled)
 
 
@@ -423,3 +440,51 @@ def test_log_serialization_round_trip(tmp_path):
     assert text.startswith("seed=")
     assert "epoch=0" in text and "epoch=1" in text
     assert "wall" not in text  # timings stay out of the canonical form
+
+
+def _first_node(root, op):
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if node._op == op:
+            return node
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    raise AssertionError(f"no {op!r} node on the tape")
+
+
+def test_backward_frees_the_step_graph():
+    # one desk-scale ddc + evidential-CE step, its forward outputs and loss
+    # still referenced: backward leaves behind only the parameter gradients
+    # and the few arrays the caller holds, not the step's activations
+    settings = ex.BenchmarkSettings()
+    _, _, source, target = ex.benchmark_domains(settings, 0, 1.0)
+    params = mo.init(mo.ModelConfig(
+        channels=settings.channels, length=settings.length,
+        num_classes=settings.num_classes, num_scales=0, variant=None,
+        conv_widths=settings.conv_widths, kernel_sizes=settings.kernel_sizes,
+        seed=0))
+    config = tr.TrainConfig(batch_size=32, method="ddc", evidential="ce",
+                            weights=tr.default_weights("ddc", "ce"))
+    rng = np.random.default_rng(0)
+    labels = LabelBatch.from_labels(source.labels[:32], settings.num_classes)
+    tracemalloc.start()
+    try:
+        tensors = mo.make_param_tensors(params, trainable=True)
+        fwd_src = mo.forward(params, source.values[:32], mode="train", rng=rng,
+                             param_tensors=tensors)
+        fwd_tgt = mo.forward(params, target.values[:32], mode="train", rng=rng,
+                             param_tensors=tensors)
+        total, _ = tr.combined_loss(fwd_src, fwd_tgt, labels, config,
+                                    AnnealSchedule(epoch=0, horizon=10))
+        conv_out = weakref.ref(_first_node(total, "conv1d").data)
+        tr.backward(total)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6
+    assert conv_out() is None  # so is the node, the array's only holder
+    for name in params.trainable_names():
+        assert np.all(np.isfinite(tensors[name].grad))
+    assert fwd_src.final_logits.data.shape == (32, settings.num_classes)
