@@ -252,8 +252,9 @@ def cmd_train(args):
     run = _Run(args)
     source = da.read_evts(args.source)
     target = da.read_evts(args.target) if args.target else None
-    model_config = _model_config_from(run, source)
     train_config = _train_config_from(run)
+    tr.check_inputs(train_config, source, target)
+    model_config = _model_config_from(run, source)
 
     params, log = tr.train(model_config, train_config, source, target)
 
@@ -287,17 +288,15 @@ def cmd_eval(args):
     run.echo.update({"model": args.model, "data": args.data,
                      "primary_head": primary_head})
 
-    out = mo.eval_forward(params, batch.values)
-    pred_e, probs_e, u = mo.head_outputs(params, out, head="evidential")
-    pred_s, probs_s, _ = mo.head_outputs(params, out, head="softmax")
-
+    out = mo.forward(params, batch.values, mode="eval")
     truth = batch.labels
-    f1_e = me.macro_f1(pred_e, truth, k)
-    f1_s = me.macro_f1(pred_s, truth, k)
-    ece_e, bins_e = me.ece(probs_e, truth, bins)
-    ece_s, bins_s = me.ece(probs_s, truth, bins)
-    pred_p, probs_p, f1_p = ((pred_e, probs_e, f1_e) if primary_head == "evidential"
-                             else (pred_s, probs_s, f1_s))
+    outputs, f1, ece, reliability = {}, {}, {}, {}
+    for head in mo.HEADS:  # u is the same for both heads
+        pred, probs, u = mo.head_outputs(params, out, head=head)
+        outputs[head] = pred, probs
+        f1[head] = me.macro_f1(pred, truth, k)
+        ece[head], reliability[head] = me.ece(probs, truth, bins)
+    pred_p, probs_p = outputs[primary_head]
     confusion = me.confusion_matrix(pred_p, truth, k)
     u_stats = me.uncertainty_stats(u)
 
@@ -308,11 +307,9 @@ def cmd_eval(args):
 
     body = [
         f"primary_head={primary_head}",
-        f"macro_f1={f1_p!r}",
-        f"macro_f1_evidential={f1_e!r}",
-        f"macro_f1_softmax={f1_s!r}",
-        f"ece_evidential={ece_e!r}",
-        f"ece_softmax={ece_s!r}",
+        f"macro_f1={f1[primary_head]!r}",
+        *(f"macro_f1_{head}={f1[head]!r}" for head in mo.HEADS),
+        *(f"ece_{head}={ece[head]!r}" for head in mo.HEADS),
         f"uncertainty_mean={u_stats.mean!r}",
         f"spearman_f1_uncertainty_per_class="
         f"{'n/a' if rho is None else repr(rho)}",
@@ -326,8 +323,8 @@ def cmd_eval(args):
     _write_report(os.path.join(out_dir, "confusion.csv"), run.echo, rows)
 
     rows = ["head,bin,count,mean_confidence,accuracy"]
-    for head, table in (("evidential", bins_e), ("softmax", bins_s)):
-        for b, entry in enumerate(table):
+    for head in mo.HEADS:
+        for b, entry in enumerate(reliability[head]):
             rows.append(f"{head},{b},{entry.count},{entry.mean_confidence!r},"
                         f"{entry.accuracy!r}")
     _write_report(os.path.join(out_dir, "reliability.csv"), run.echo, rows)
@@ -343,8 +340,8 @@ def cmd_eval(args):
              for i in range(len(batch))]
     _write_report(os.path.join(out_dir, "per_sample.csv"), run.echo, rows)
 
-    print(f"macro_f1={f1_p!r} "
-          f"ece_evidential={ece_e!r} ece_softmax={ece_s!r}")
+    print(f"macro_f1={f1[primary_head]!r} "
+          + " ".join(f"ece_{head}={ece[head]!r}" for head in mo.HEADS))
     print(f"reports written to {out_dir}")
     return EXIT_OK
 
@@ -367,7 +364,7 @@ def cmd_discrepancy(args):
     for flag, path, batch in (("--source", args.source, source),
                               ("--target", args.target, target)):
         try:
-            feats.append(mo.eval_forward(params, batch.values).mixed.data)
+            feats.append(mo.forward(params, batch.values, mode="eval").mixed.data)
         except DomainError as exc:
             raise DomainError(f"{flag} {path}: {exc}") from exc
     feats_src, feats_tgt = feats
@@ -413,8 +410,9 @@ def cmd_select_lambda3(args):
     target = da.read_evts(args.target)
     target_val = da.read_evts(args.target_val) if args.target_val else target
     grid = run.get("grid")
-    model_config = _model_config_from(run, source)
     train_config = _train_config_from(run)
+    tr.check_inputs(train_config, source, target)
+    model_config = _model_config_from(run, source)
     out_dir = _out_dir(run)
 
     best, rows = tr.select_lambda3(grid, model_config, train_config, source,

@@ -47,6 +47,8 @@ _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
 _EVAL_ROWS = 64  # rows per chunk of an eval forward
 
+HEADS = ("evidential", "softmax")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -142,8 +144,9 @@ def _uniform(rng, fan_in, shape):
 
 def layout(config):
     """Name -> shape of every parameter array, in init and file order."""
-    c, levels = config.channels, ms.conv_reduction_levels(config.num_scales, config.variant)
-    shapes = {f"down{i}.w": (c, c, ms.DOWNSAMPLE_KERNEL) for i in range(len(levels))}
+    c = config.channels
+    kernels = ms.reduction_plan(config.num_scales, config.variant).count("conv")
+    shapes = {f"down{i}.w": (c, c, ms.DOWNSAMPLE_KERNEL) for i in range(kernels)}
     for scale in range(config.num_scales + 1):
         in_ch = c
         for block, (width, kernel) in enumerate(zip(config.conv_widths, config.kernel_sizes)):
@@ -187,8 +190,8 @@ def _scale_features(params, pt, x, train, rng):
     """The per-scale features [N, F] of `x`: each down-sampled scale through
     its conv blocks, then global average pooling over time."""
     config = params.config
-    conv_levels = ms.conv_reduction_levels(config.num_scales, config.variant)
-    down_convs = [pt[f"down{i}.w"] for i in range(len(conv_levels))]
+    kernels = ms.reduction_plan(config.num_scales, config.variant).count("conv")
+    down_convs = [pt[f"down{i}.w"] for i in range(kernels)]
     scales = ms.build_scales(x, config.num_scales, config.variant, rng=rng,
                              down_convs=down_convs, train=train)
     features = []
@@ -219,11 +222,16 @@ def _scale_features(params, pt, x, train, rng):
 def forward(params, x, mode="train", rng=None, param_tensors=None):
     """Run the network; `mode` is "train" (batch statistics, folded into the
     running statistics; random pooling active) or "eval" (running
-    statistics, deterministic pooling)."""
+    statistics, deterministic pooling).  In eval, an input row holding NaN
+    or inf raises DomainError naming that row."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
     config = params.config
     x = tz.as_tensor(x)
+    if mode == "eval":
+        row = first_nonfinite_row(x.data)
+        if row is not None:  # else the evidence gets the blame
+            raise DomainError(f"input row {row} holds NaN or inf")
     if x.ndim != 3 or x.shape[1] != config.channels or x.shape[2] != config.length:
         raise ShapeError(
             f"input {x.shape} does not match [N, {config.channels}, {config.length}]"
@@ -257,7 +265,7 @@ def resolve_head(params, head):
     """The head `head` names; "auto" reads the one training chose."""
     if head == "auto":
         head = params.train_meta.get("primary_head", "evidential")
-    if head not in ("evidential", "softmax"):
+    if head not in HEADS:
         raise ConfigError(f"unknown prediction head {head!r}")
     return head
 
@@ -280,14 +288,6 @@ def head_outputs(params, out, head="auto"):
     return probs.argmax(axis=1), probs, u
 
 
-def eval_forward(params, values):
-    """Eval-mode `forward` of `values`, once no row holds NaN or inf."""
-    row = first_nonfinite_row(values)
-    if row is not None:  # else the evidence gets the blame
-        raise DomainError(f"input row {row} holds NaN or inf")
-    return forward(params, values, mode="eval")
-
-
 def predict(params, values, head="auto"):
     """Eval-mode class predictions, confidences/probabilities and uncertainty.
 
@@ -295,7 +295,7 @@ def predict(params, values, head="auto"):
     "auto" (whatever the stored training meta says the model predicts with).
     """
     head = resolve_head(params, head)
-    return head_outputs(params, eval_forward(params, values), head)
+    return head_outputs(params, forward(params, values, mode="eval"), head)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -14,32 +14,38 @@ from . import tensor as tz
 from .errors import ConfigError, DomainError, ShapeError
 from .tensor import _accumulate, _node, as_tensor
 
-VARIANTS = ("L", "LM", "M", "A", "R")
+# each variant's reductions repeat its cycle, level 1 first: "conv" is a
+# learned stride-2 kernel, any other entry a `tensor.pool1d` kind
+REDUCTION_CYCLES = {"L": ("conv",), "LM": ("max", "conv"), "M": ("max",),
+                    "A": ("avg",), "R": ("random",)}
+VARIANTS = tuple(REDUCTION_CYCLES)
 
 DOWNSAMPLE_KERNEL = 3
 DOWNSAMPLE_PADDING = 1
 
 
-def conv_reduction_levels(num_scales, variant):
-    """Which reductions (1-based) the variant realizes with a learned conv."""
-    if variant == "L":
-        return list(range(1, num_scales + 1))
-    if variant == "LM":
-        # pooling first, conv second, alternating for deeper stacks
-        return [level for level in range(1, num_scales + 1) if level % 2 == 0]
-    return []
+def reduction_plan(num_scales, variant, train=True):
+    """The operation of each of the `num_scales` reductions, level 1 first.
+
+    Random pooling becomes max pooling in eval, for determinism; the
+    number of "conv" entries is the number of down-sampling kernels."""
+    if num_scales == 0:
+        return []
+    cycle = REDUCTION_CYCLES[variant]
+    plan = [cycle[level % len(cycle)] for level in range(num_scales)]
+    return plan if train else ["max" if op == "random" else op for op in plan]
 
 
 def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
     """Produce the list of scales x_0 .. x_M via repeated stride-2
     reduction; x_0 is the untouched input.
 
-    variant L: stride-2 conv (kernel 3, padding 1, channel-preserving);
-    LM: max-pool then conv on alternating reductions; M / A / R: window-2
-    stride-2 max / average / random pooling.  Random pooling needs `rng`
-    during training and falls back to max pooling in eval for determinism.
-    Conv outputs are cropped to floor(T/2) at odd lengths so every level
-    obeys the floor(P / 2^m) extent.
+    Each level runs its `reduction_plan` entry.  variant L: stride-2 conv
+    (kernel 3, padding 1, channel-preserving); LM: max-pool then conv on
+    alternating reductions; M / A / R: window-2 stride-2 max / average /
+    random pooling.  Random pooling needs `rng` during training.  Conv
+    outputs are cropped to floor(T/2) at odd lengths so every level obeys
+    the floor(P / 2^m) extent.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -58,32 +64,27 @@ def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
     if variant == "R" and train and rng is None:
         raise ConfigError("variant R needs a seeded generator during training")
 
-    conv_levels = conv_reduction_levels(num_scales, variant)
+    plan = reduction_plan(num_scales, variant, train)
     convs = list(down_convs) if down_convs is not None else []
-    if len(convs) != len(conv_levels):
+    needed = plan.count("conv")
+    if len(convs) != needed:
         raise ConfigError(
-            f"variant {variant} needs {len(conv_levels)} down-sampling kernels, "
+            f"variant {variant} needs {needed} down-sampling kernels, "
             f"got {len(convs)}"
         )
 
     scales = [x]
     current = x
-    conv_index = 0
-    for level in range(1, num_scales + 1):
-        target_len = current.shape[2] // 2
-        if level in conv_levels:
-            current = tz.conv1d(current, convs[conv_index], stride=2,
+    kernels = iter(convs)
+    for op in plan:
+        if op == "conv":
+            target_len = current.shape[2] // 2
+            current = tz.conv1d(current, next(kernels), stride=2,
                                 padding=DOWNSAMPLE_PADDING)
-            conv_index += 1
             if current.shape[2] > target_len:
                 current = tz.crop1d(current, target_len)
-        elif variant in ("M", "LM"):
-            current = tz.pool1d(current, "max")
-        elif variant == "A":
-            current = tz.pool1d(current, "avg")
-        else:  # R
-            kind = "random" if train else "max"
-            current = tz.pool1d(current, kind, rng=rng)
+        else:
+            current = tz.pool1d(current, op, rng=rng)
         scales.append(current)
     return scales
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -167,41 +168,35 @@ class _ComponentFailure(ToolkitError):
 def combined_loss(fwd_src, fwd_tgt, labels, config, schedule):
     """Assemble total = l1 * L_cls + l2 * L_d + l3 * (L_evi / N).
 
-    Classification and evidential terms use the source only; the domain
-    term, run only when `config.aligns`, compares mixed features of the
-    two domains.  Returns the scalar tape node and the unweighted breakdown.
+    One (name, weight, term) entry per term that runs, added in this order:
+    classification always, the domain term when `config.aligns` (mixed
+    features of the two domains), the evidential term when
+    `config.evidential_on`; classification and evidential read the source
+    only.  A term that raises DomainError is reported under its name.
+    Returns the scalar tape node and the unweighted breakdown, 0.0 for a
+    term that does not run.
     """
     weights = config.weights
-    try:
-        loss = aux_classification_loss(fwd_src.final_logits, fwd_src.aux_logits, labels)
-    except DomainError as exc:
-        raise _ComponentFailure("cls") from exc
-    cls_value = float(loss.data)
-    total = weights.lambda1 * loss
-
-    domain_value = 0.0
+    terms = [("cls", weights.lambda1, lambda: aux_classification_loss(
+        fwd_src.final_logits, fwd_src.aux_logits, labels))]
     if config.aligns:
-        try:
-            domain = alignment.alignment_loss(config.method, fwd_src.mixed,
-                                              fwd_tgt.mixed)
-        except DomainError as exc:
-            raise _ComponentFailure("domain") from exc
-        domain_value = float(domain.data)
-        total = total + weights.lambda2 * domain
-
-    evidential_value = 0.0
+        terms.append(("domain", weights.lambda2, lambda: alignment.alignment_loss(
+            config.method, fwd_src.mixed, fwd_tgt.mixed)))
     if config.evidential_on:
-        n = fwd_src.evidence.shape[0]
-        try:
-            evi = evidential_total(
-                evidence_to_alpha(fwd_src.evidence), labels, schedule,
-                config.evidential) * (1.0 / n)
-        except DomainError as exc:
-            raise _ComponentFailure("evidential") from exc
-        evidential_value = float(evi.data)
-        total = total + weights.lambda3 * evi
+        terms.append(("evidential", weights.lambda3, lambda: evidential_total(
+            evidence_to_alpha(fwd_src.evidence), labels, schedule,
+            config.evidential) * (1.0 / fwd_src.evidence.shape[0])))
 
-    return total, LossBreakdown.weighted(weights, (cls_value, domain_value, evidential_value))
+    parts = dict.fromkeys(("cls", "domain", "evidential"), 0.0)
+    total = None
+    for name, weight, term in terms:
+        try:
+            loss = term()
+        except DomainError as exc:
+            raise _ComponentFailure(name) from exc
+        parts[name] = float(loss.data)
+        total = weight * loss if total is None else total + weight * loss
+    return total, LossBreakdown.weighted(weights, parts.values())
 
 
 class _AdamState:
@@ -240,21 +235,11 @@ def _batch_starts(total, batch_size):
     return starts
 
 
-class _CyclingSampler:
-    """Cycles a seeded permutation stream over a dataset's indices."""
-
-    def __init__(self, count, rng):
-        self.count = count
-        self.rng = rng
-        self.pool = []
-
-    def take(self, size):
-        out = []
-        while len(out) < size:
-            if not self.pool:
-                self.pool = list(self.rng.permutation(self.count))
-            out.append(self.pool.pop())
-        return np.asarray(out)
+def _cycled_rows(count, rng):
+    """Row indices from seeded permutations of range(count), one after
+    another, each yielded last entry first.  Never yields when count is 0."""
+    while True:
+        yield from reversed(rng.permutation(count))
 
 
 def _finite_check(named_values, epoch, step, kind="loss component"):
@@ -263,20 +248,26 @@ def _finite_check(named_values, epoch, step, kind="loss component"):
             raise NumericalAbort(name, epoch, step, kind)
 
 
-def train(model_config, train_config, source, target):
-    """Train on labeled source plus (optionally) unlabeled target.
-
-    Checks every precondition before the first step: a labeled, non-empty
-    source, and a non-empty target when `train_config.aligns`, the only case
-    that reads the target (never its labels).  Returns parameters and log.
-    """
+def check_inputs(train_config, source, target):
+    """Refuse batches `train` cannot use: an unlabeled or empty source, or a
+    missing or empty target when `train_config.aligns`, the only case that
+    reads the target (never its labels)."""
     if not source.labeled:
         raise ConfigError("the source batch must carry labels")
     if len(source) == 0:
         raise ConfigError("the source batch holds no rows")
-    needs_target = train_config.aligns
-    if needs_target and (target is None or len(target) == 0):
+    if train_config.aligns and (target is None or len(target) == 0):
         raise ConfigError(f"method {train_config.method!r} needs a non-empty target batch")
+
+
+def train(model_config, train_config, source, target):
+    """Train on labeled source plus (optionally) unlabeled target.
+
+    Checks every precondition before the first step: `check_inputs`, and a
+    source class count that matches the model.  Returns parameters and log.
+    """
+    check_inputs(train_config, source, target)
+    needs_target = train_config.aligns
     if source.num_classes != model_config.num_classes:
         raise ConfigError("source num_classes does not match the model")
 
@@ -291,8 +282,7 @@ def train(model_config, train_config, source, target):
     pool_rng = np.random.default_rng(seeds[2])
 
     optimizer = _AdamState(params, train_config)
-    target_sampler = _CyclingSampler(len(target), target_rng) \
-        if needs_target else None
+    target_rows = _cycled_rows(len(target), target_rng) if needs_target else None
     inputs = {"source": source, "target": target} if needs_target else {"source": source}
     for name, batch in inputs.items():
         row = mo.first_nonfinite_row(batch.values)
@@ -317,7 +307,7 @@ def train(model_config, train_config, source, target):
                                  param_tensors=tensors)
             fwd_tgt = None
             if needs_target:
-                tb = target.values[target_sampler.take(len(take))]
+                tb = target.values[np.fromiter(islice(target_rows, len(take)), np.int64)]
                 fwd_tgt = mo.forward(params, tb, mode="train", rng=pool_rng,
                                      param_tensors=tensors)
             try:

@@ -26,6 +26,15 @@ def dataset(tmp_path):
     return tmp_path / "source.evts", tmp_path / "target.evts"
 
 
+def unlabeled_copy(path, tmp_path):
+    """`path` rewritten without labels, declaring 0 classes."""
+    batch = da.read_evts(path)
+    out = tmp_path / "unlabeled.evts"
+    da.write_evts(da.TimeSeriesBatch(values=batch.values, labels=None,
+                                     num_classes=0), out)
+    return out
+
+
 def train_args(source, target, out_dir, *extra):
     return ["train", "--source", str(source), "--target", str(target),
             "--out-dir", str(out_dir), "--epochs", "3", "--widths", "4,4,4",
@@ -88,14 +97,11 @@ class TestTrain:
         assert (tmp_path / "r1" / "train_log.txt").read_bytes() == \
             (tmp_path / "r2" / "train_log.txt").read_bytes()
 
-    def test_unlabeled_source_exits_2(self, dataset, tmp_path):
+    def test_unlabeled_source_exits_2(self, dataset, tmp_path, capsys):
         source, target = dataset
-        batch = da.read_evts(source)
-        unlabeled = da.TimeSeriesBatch(values=batch.values, labels=None,
-                                       num_classes=0)
-        path = tmp_path / "unlabeled.evts"
-        da.write_evts(unlabeled, path)
+        path = unlabeled_copy(source, tmp_path)
         assert run_cli(*train_args(path, target, tmp_path / "x")) == 2
+        assert "the source batch must carry labels" in capsys.readouterr().err
 
     def test_nan_data_exits_3(self, dataset, tmp_path):
         source, target = dataset
@@ -217,7 +223,7 @@ class TestEval:
         assert modes == ["eval"]
         # the same command with each head taken from its own full predict
         two = types.SimpleNamespace(**vars(mo))
-        two.eval_forward = lambda params, values: values
+        two.forward = lambda params, values, mode: values
         two.head_outputs = lambda params, values, head: mo.predict(params, values, head)
         monkeypatch.setattr(cli, "mo", two)
         assert run_cli("eval", "--model", str(model), "--data", str(target),
@@ -334,7 +340,7 @@ class TestDiscrepancy:
                        str(out), "--seed", "11") == 0
         assert len(calls) == 1
         params = mo.load(model)
-        feats = [mo.eval_forward(params, da.read_evts(path).values).mixed.data
+        feats = [mo.forward(params, da.read_evts(path).values, mode="eval").mixed.data
                  for path in (source, target)]
         widths = reference_bandwidths(*feats)
         lines = (out / "discrepancy.txt").read_text().splitlines()
@@ -412,6 +418,17 @@ class TestSelectLambda3:
                        "--seed", "0")
         assert code == 2
         assert "needs an evidential head" in capsys.readouterr().err
+        assert not (out / "lambda3_risk.csv").exists()
+
+    def test_unlabeled_source_exits_2(self, dataset, tmp_path, capsys):
+        source, target = dataset
+        out = tmp_path / "sel4"
+        code = run_cli("select-lambda3", "--source",
+                       str(unlabeled_copy(source, tmp_path)), "--target",
+                       str(target), "--out-dir", str(out), "--grid", "0.1",
+                       "--epochs", "2", "--evidential", "ce")
+        assert code == 2
+        assert "the source batch must carry labels" in capsys.readouterr().err
         assert not (out / "lambda3_risk.csv").exists()
 
 

@@ -111,6 +111,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             mo.forward(params, np.zeros((2, 2, 16)), mode="eval")
 
+    def test_eval_names_the_first_non_finite_row(self):
+        params = mo.init(tiny_config())
+        x = np.zeros((5, 2, 32))
+        x[3, 1, 4] = np.nan
+        with pytest.raises(DomainError, match="input row 3 holds NaN or inf"):
+            mo.forward(params, x, mode="eval")
+
     def test_bad_mode(self):
         params = mo.init(tiny_config())
         with pytest.raises(ConfigError):

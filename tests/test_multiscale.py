@@ -91,11 +91,22 @@ class TestBuildScales:
             ms.build_scales(rand_series((1, 1, 16)), 2, "L",
                             down_convs=down_convs(1))
 
-    def test_lm_alternates_pool_then_conv(self):
+    @pytest.mark.parametrize("variant,num_scales,train,plan", [
+        ("L", 3, True, ["conv", "conv", "conv"]),
         # reduction 1 is a max-pool, so an LM stack at M=1 uses no conv
-        assert ms.conv_reduction_levels(1, "LM") == []
-        assert ms.conv_reduction_levels(2, "LM") == [2]
-        assert ms.conv_reduction_levels(3, "L") == [1, 2, 3]
+        ("LM", 1, True, ["max"]),
+        ("LM", 2, True, ["max", "conv"]),
+        ("LM", 3, True, ["max", "conv", "max"]),
+        ("LM", 4, False, ["max", "conv", "max", "conv"]),
+        ("M", 2, True, ["max", "max"]),
+        ("A", 2, True, ["avg", "avg"]),
+        ("R", 2, True, ["random", "random"]),
+        ("R", 2, False, ["max", "max"]),
+        ("M", 0, True, []),
+    ], ids=["L-3", "LM-1", "LM-2", "LM-3", "LM-4", "M-2", "A-2", "R-2-train",
+            "R-2-eval", "M-0"])
+    def test_reduction_plan(self, variant, num_scales, train, plan):
+        assert ms.reduction_plan(num_scales, variant, train) == plan
 
 
 class TestMixFeatures:

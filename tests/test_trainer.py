@@ -2,6 +2,7 @@ import dataclasses
 import tracemalloc
 import warnings
 import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -221,9 +222,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value,component", [
         ("mixed", np.inf, "domain"), ("mixed", np.nan, "domain"),
-        ("final_logits", np.inf, "cls"), ("final_logits", np.nan, "cls")])
+        ("final_logits", np.inf, "cls"), ("final_logits", np.nan, "cls"),
+        ("evidence", np.inf, "evidential"), ("evidence", np.nan, "evidential")])
     def test_nonfinite_forward_names_component(self, monkeypatch, field, value,
                                                component):
+        # one case per entry of combined_loss's term list
         source, target = synth_pair(seed=9)
         real_forward = mo.forward
 
@@ -233,7 +236,9 @@ class TestTrain:
             return out
 
         monkeypatch.setattr(mo, "forward", poisoned)
-        cfg = train_config(method="ddc", weights=tr.default_weights("ddc", "none"))
+        evidential = "ce" if component == "evidential" else "none"
+        cfg = train_config(method="ddc", evidential=evidential,
+                           weights=tr.default_weights("ddc", evidential))
         with pytest.raises(NumericalAbort) as failure:
             tr.train(tiny_model_config(), cfg, source, target)
         assert failure.value.component == component
@@ -398,6 +403,26 @@ class TestSelectLambda3:
             tr.select_lambda3([0.1], tiny_model_config(),
                               train_config(evidential="ce"),
                               source, target, unlabeled)
+
+
+@pytest.mark.parametrize("count,size", [(5, 8), (24, 8), (7, 3)])
+def test_cycled_rows_match_pool_and_pop(count, size):
+    # the sampler the generator replaced, written out: refill a pool from the
+    # next permutation whenever it runs dry and take rows off its end
+    ref_rng, gen_rng = np.random.default_rng(4), np.random.default_rng(4)
+    pool, want = [], []
+    steps = -(-3 * count // size)  # batches that span three permutations
+    for _ in range(steps):
+        rows = []
+        while len(rows) < size:
+            if not pool:
+                pool = list(ref_rng.permutation(count))
+            rows.append(pool.pop())
+        want.append(rows)
+    cycled = tr._cycled_rows(count, gen_rng)
+    assert [list(islice(cycled, size)) for _ in range(steps)] == want
+    # both drew the same permutations, and no more
+    assert gen_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_train_config_derived_switches():
