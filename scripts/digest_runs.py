@@ -9,9 +9,17 @@ every evidential kind, so two source trees that print the same lines
 train and predict bit for bit alike on all of them:
 
     python3 scripts/digest_runs.py > digests.txt
+
+`--record PATH` also writes the digests as JSON, keyed by each line's
+configuration, with the numpy version, the BLAS library and the BLAS
+thread settings of the run; `tests/golden/digests.json` is that record,
+and `tests/test_digests.py` recomputes it.
 """
 
+import argparse
 import hashlib
+import json
+import os
 import sys
 
 import numpy as np
@@ -55,12 +63,33 @@ def digest(variant, num_scales, length, method, evidential, seed=0):
     return h.hexdigest()
 
 
-def main():
+def label(entry):
+    variant, num_scales, length, method, evidential = entry
+    return (f"variant={variant} scales={num_scales} length={length} "
+            f"method={method} evidential={evidential}")
+
+
+def environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": {var: os.environ.get(var) for var in threads}}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--record", metavar="PATH",
+                        help="also write the digests and the environment as JSON")
+    args = parser.parse_args(argv)
+    digests = {}
     for entry in GRID:
-        variant, num_scales, length, method, evidential = entry
-        print(f"variant={variant} scales={num_scales} length={length} "
-              f"method={method} evidential={evidential} "
-              f"sha256={digest(*entry)}", flush=True)
+        digests[label(entry)] = digest(*entry)
+        print(f"{label(entry)} sha256={digests[label(entry)]}", flush=True)
+    if args.record:
+        record = {**environment(), "digests": digests}
+        with open(args.record, "w") as f:
+            f.write(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -6,9 +6,11 @@ blocks followed by global average pooling over time.  Pooling before relu
 is exact: relu is monotone, so relu(max(a, b)) = max(relu(a), relu(b)),
 and both orders send a pair's gradient to the same slot (or none, when
 both are negative); relu then touches half the elements.  In train mode
-the block's tail is one tape node, `tensor.batchnorm_pool_relu`, which
+the whole block is one tape node, `tensor.conv_bn_pool_relu`, which
 makes the separate nodes' float operations in their order and so matches
-them bit for bit.  In eval mode batch-norm is the per-channel affine map s * (h - mean) + beta with
+them bit for bit; its tape keeps only the normalized conv product, two
+half-size masks, 1/std and its input, not the raw product or a padded copy.
+In eval mode batch-norm is the per-channel affine map s * (h - mean) + beta with
 s = gamma / sqrt(running_var + eps), and conv1d is linear in each output
 channel's kernel row, so the scale folds into the conv: kernel row c
 scaled by s[c] (exact in real arithmetic, for any sign of gamma; only the
@@ -72,10 +74,9 @@ class ModelConfig:
             raise ConfigError(
                 f"length {self.length} cannot support {self.num_scales} halvings"
             )
-        if self.num_scales >= 1 and self.variant not in ms.VARIANTS:
-            raise ConfigError(
-                f"multi-scale models need a variant from {ms.VARIANTS}"
-            )
+        if self.variant not in (*ms.VARIANTS, None) or (self.num_scales and self.variant is None):
+            raise ConfigError(f"variant must be one of {ms.VARIANTS} (or None at "
+                              f"0 scales), not {self.variant!r}")
         if not self.conv_widths or len(self.conv_widths) != len(self.kernel_sizes):
             raise ConfigError("conv_widths and kernel_sizes must pair up, one block or more")
         if any(w < 1 for w in self.conv_widths) or any(k < 1 for k in self.kernel_sizes):
@@ -203,8 +204,7 @@ def _scale_features(params, pt, x, train, rng):
             running_mean = params.arrays[f"{prefix}.bn_running_mean"]
             running_var = params.arrays[f"{prefix}.bn_running_var"]
             if train:  # batch statistics, folded into the running ones in place
-                h, mean, var = tz.batchnorm_pool_relu(
-                    tz.conv1d(h, w, stride=1, padding=kernel // 2), gamma, beta, _BN_EPS)
+                h, mean, var = tz.conv_bn_pool_relu(h, w, gamma, beta, kernel // 2, _BN_EPS)
                 running_mean[:] = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mean
                 running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
             else:  # scale folded into the conv; pool, then bias and relu in place

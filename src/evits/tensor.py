@@ -4,12 +4,14 @@ The supported primitive set is exactly what the model and losses need:
 elementwise arithmetic with numpy broadcasting, matmul, relu / softplus /
 log, reductions, reshape / concatenation / cropping,
 1-D convolution (cross-correlation, zero padding), 1-D pooling and a
-backbone block's batch-norm -> max-pool -> relu tail as one node.
+backbone block's conv -> batch-norm -> max-pool -> relu as one node.
 Applying an operation records the node on the implicit tape; ``backward``
 on a scalar output replays it and accumulates one gradient array per leaf
 that needs one.  It frees the graph as it goes: once a node's backward has
 run, the node drops its closure, parents and gradient, so only leaves keep
 ``.grad``, and a second backward of the same graph raises ``ContractError``.
+A node keeps only what its backward reads, mostly its parents' own arrays,
+so a caller must not change an input array in place before backward.
 
 Everything is value-semantic and deterministic: random pooling takes an
 explicit ``numpy.random.Generator`` and reproduces bit-identical output
@@ -375,10 +377,14 @@ def matmul(a, b):
 # -- convolution and pooling -----------------------------------------------------
 
 
-def _windows(a, k, length, stride):
-    """The unrolled window [N, C*k, length] of [N, C, T]: column i holds
-    steps stride*i ... stride*i + k - 1 of every channel, one copy of a
-    read-only `as_strided` view (Chellapilla et al., 2006)."""
+def _windows(a, k, length, stride, padding=0):
+    """The unrolled window [N, C*k, length] of [N, C, T] zero-padded by
+    `padding` steps on each side: column i holds steps stride*i ...
+    stride*i + k - 1 of every channel, one copy of a read-only
+    `as_strided` view (Chellapilla et al., 2006)."""
+    if padding:  # a zero buffer with the input copied in
+        a, unpadded = np.zeros(a.shape[:2] + (a.shape[2] + 2 * padding,)), a
+        a[:, :, padding:-padding] = unpadded
     n, c, _ = a.shape
     sn, sc, st = a.strides
     view = np.lib.stride_tricks.as_strided(
@@ -386,16 +392,12 @@ def _windows(a, k, length, stride):
     return view.reshape(n, c * k, length)
 
 
-def conv1d(x, kernel, stride=1, padding=0):
-    """Batched 1-D cross-correlation with zero padding.
-
-    x: [N, Cin, T], kernel: [Cout, Cin, k] -> [N, Cout, T'] with
-    T' = floor((T + 2 * padding - k) / stride) + 1.
-    """
+def _conv_forward(x, kernel, stride, padding):
+    """The checked operands of `conv1d` and their cross-correlation product."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise ShapeError("conv1d expects x [N,Cin,T] and kernel [Cout,Cin,k]")
-    n, cin, t = x.data.shape
+    _, cin, t = x.data.shape
     cout, cin_k, k = kernel.data.shape
     if cin != cin_k:
         raise ShapeError(f"conv1d channel mismatch: input {cin}, kernel {cin_k}")
@@ -403,56 +405,67 @@ def conv1d(x, kernel, stride=1, padding=0):
         raise ConfigError("conv1d needs stride >= 1 and padding >= 0")
     if t + 2 * padding < k:
         raise ShapeError("conv1d kernel longer than padded input")
-
-    if padding:  # a zero buffer with the input copied in
-        xp = np.zeros((n, cin, t + 2 * padding))
-        xp[:, :, padding:padding + t] = x.data
-    else:
-        xp = x.data
     t_out = (t + 2 * padding - k) // stride + 1
-    out_data = kernel.data.reshape(cout, cin * k) @ _windows(xp, k, t_out, stride)
-
-    def bwd(g):
-        if _tracked(kernel):  # the window is rebuilt here, so the tape keeps xp only
-            gw = np.matmul(g, _windows(xp, k, t_out, stride).transpose(0, 2, 1))
-            _accumulate(kernel, gw.sum(axis=0).reshape(cout, cin, k))
-        if _tracked(x):
-            # the transposed convolution (Dumoulin & Visin, 2016): g spread
-            # to steps k - 1 + stride * i of a zero buffer, correlated with
-            # the flipped kernel over the unpadded input steps
-            gz = np.zeros((n, cout, xp.shape[2] + k - 1))
-            gz[:, :, k - 1:k - 1 + stride * t_out:stride] = g
-            flipped = kernel.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
-            _accumulate(x, flipped @ _windows(gz[:, :, padding:], k, t, 1))
-
-    return _node(out_data, (x, kernel), bwd, "conv1d")
+    windows = _windows(x.data, k, t_out, stride, padding)
+    return x, kernel, kernel.data.reshape(cout, cin * k) @ windows
 
 
-def batchnorm_pool_relu(h, gamma, beta, eps):
-    """A backbone block's tail on [N, C, T] as one tape node: channel
-    batch-norm with the batch statistics, window-2 stride-2 max-pool over
-    time (ties pick the first slot, an odd trailing step is dropped, as in
-    `pool1d`), then relu.  Returns (out [N, C, T // 2], batch mean [C],
-    biased batch variance [C]).
+def _conv_backward(g, x, kernel, stride, padding):
+    """Accumulate `conv1d`'s operand gradients for its output gradient g;
+    the kernel's from the unpadded input, padded again here."""
+    n, cin, t = x.data.shape
+    cout, _, k = kernel.data.shape
+    t_out = g.shape[2]
+    if _tracked(kernel):
+        gw = np.matmul(g, _windows(x.data, k, t_out, stride, padding).transpose(0, 2, 1))
+        _accumulate(kernel, gw.sum(axis=0).reshape(cout, cin, k))
+    if _tracked(x):
+        # the transposed convolution (Dumoulin & Visin, 2016): g spread
+        # to steps k - 1 + stride * i of a zero buffer, correlated with
+        # the flipped kernel over the unpadded input steps
+        gz = np.zeros((n, cout, t + 2 * padding + k - 1))
+        gz[:, :, k - 1:k - 1 + stride * t_out:stride] = g
+        flipped = kernel.data[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
+        _accumulate(x, flipped @ _windows(gz[:, :, padding:], k, t, 1))
 
-    The tape keeps the normalized input and two half-size masks: which
-    slot of each pair won, and where the pooled value is positive.  The
-    backward sends the gradient through both masks into the batch-norm
-    closed form (Ioffe & Szegedy, 2015).  This is exact against the chain
-    of separate batch-norm, `pool1d("max")` and `relu` nodes: each value
-    takes the chain's float operations in the chain's order, and the
-    gradients the masks stop enter the same full-size batch-norm sums as
-    exact zeros, so outputs and gradients match bit for bit.  Only the
-    sign of a zero differs: relu gives +0.0 where the chain gave -0.0.
+
+def conv1d(x, kernel, stride=1, padding=0):
+    """Batched 1-D cross-correlation with zero padding.
+
+    x: [N, Cin, T], kernel: [Cout, Cin, k] -> [N, Cout, T'] with
+    T' = floor((T + 2 * padding - k) / stride) + 1.  The backward reads
+    `x.data` and `kernel.data`: do not change them in place before it.
     """
-    h, gamma, beta = as_tensor(h), as_tensor(gamma), as_tensor(beta)
-    n, c, t = h.data.shape
+    x, kernel, out_data = _conv_forward(x, kernel, stride, padding)
+    return _node(out_data, (x, kernel),
+                 lambda g: _conv_backward(g, x, kernel, stride, padding), "conv1d")
+
+
+def conv_bn_pool_relu(x, kernel, gamma, beta, padding, eps):
+    """A backbone block as one tape node: stride-1 `conv1d`, batch-norm
+    with the batch statistics, window-2 stride-2 max-pool over time (ties
+    pick the first slot, an odd trailing step is dropped, as in `pool1d`),
+    then relu.  Returns (out, batch mean [Cout], biased batch variance).
+
+    The conv product is normalized in its own buffer; the tape keeps that
+    buffer, two half-size masks (which slot won, where the pooled value is
+    positive), 1 / std and the parent `x` (see `conv1d`).  The backward
+    writes the batch-norm closed form (Ioffe & Szegedy, 2015) into that
+    buffer, its last reader, and runs the conv backward from there.  Each
+    value takes the float operations of the separate conv1d, batch-norm,
+    `pool1d("max")` and `relu` nodes in their order, and masked gradients
+    enter the full-size sums as exact zeros, so outputs and gradients match
+    that chain bit for bit; only relu gives +0.0 where the chain gave -0.0.
+    """
+    x, kernel, normalized = _conv_forward(x, kernel, 1, padding)
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    n, c, t = normalized.shape
     if t < 2:
         raise ShapeError(f"pool window 2 exceeds time extent {t}")
     t_out = t // 2
-    count = h.data.size / c  # N * T samples per channel
-    mean = np.einsum("nct->c", h.data) / count
-    normalized = h.data - mean[:, None]  # centered, normalized in place below
+    count = normalized.size / c  # N * T samples per channel
+    mean = np.einsum("nct->c", normalized) / count
+    normalized -= mean[:, None]  # centered, normalized below
     var = np.einsum("nct,nct->c", normalized, normalized) / count
     inv_std = 1.0 / np.sqrt(var + eps)
     normalized *= inv_std[:, None]
@@ -474,14 +487,16 @@ def batchnorm_pool_relu(h, gamma, beta, eps):
         g_sum = np.einsum("nct->c", gy)
         _accumulate(gamma, g_norm)
         _accumulate(beta, g_sum)
-        gh = normalized * g_norm[:, None]
+        gh = np.multiply(normalized, g_norm[:, None], out=normalized)
         gh += g_sum[:, None]
         gh *= c / gy.size
         np.subtract(gy, gh, out=gh)
+        del gy, g_left  # freed before the conv backward's windows
         gh *= (gamma.data * inv_std)[:, None]
-        _accumulate(h, gh)
+        _conv_backward(gh, x, kernel, 1, padding)
 
-    return _node(out_data, (h, gamma, beta), bwd, "batchnorm_pool_relu"), mean, var
+    return (_node(out_data, (x, kernel, gamma, beta), bwd, "conv_bn_pool_relu"),
+            mean, var)
 
 
 POOL_KINDS = ("max", "avg", "random")

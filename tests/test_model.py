@@ -68,6 +68,16 @@ class TestInit:
             config(length=2, num_scales=3)
         with pytest.raises(ConfigError):
             config(variant="Z")
+        for scales in (0, 1):  # an unknown variant is refused at any scale count
+            with pytest.raises(ConfigError, match="'Q'"):
+                config(num_scales=scales, variant="Q")
+        with pytest.raises(ConfigError):
+            config(num_scales=1, variant=None)
+
+    def test_default_variant_builds_at_zero_scales(self):
+        params = mo.init(config(num_scales=0))  # variant keeps its default "M"
+        assert params.config.variant == "M"
+        assert not any(name.startswith(("down", "aux")) for name in params.arrays)
         with pytest.raises(ConfigError):
             # scale-2 extent collapses below pooling width
             config(length=16, num_scales=2)
@@ -347,6 +357,7 @@ class TestSerialization:
         b'{"config": {"channels": 2}}',
         pytest.param(tiny_header(conv_widths=[], kernel_sizes=[]), id="no-blocks"),
         pytest.param(tiny_header(num_scales=10 ** 12), id="huge-num_scales"),
+        pytest.param(tiny_header(num_scales=0, variant="Q"), id="unknown-variant"),
         # shapes far beyond the bytes that follow: refused before any allocation
         pytest.param(tiny_header(conv_widths=[2 ** 30, 4, 4]), id="huge-conv_widths"),
         pytest.param(tiny_header(channels=2 ** 40), id="huge-channels"),

@@ -189,23 +189,27 @@ def _bn_pool_relu_chain(h, gamma, beta, eps, g):
 
 
 class TestBatchnorm:
-    # batchnorm_pool_relu: a backbone block's batch-norm, max-pool and relu
-    # as one node; gamma has a negative entry, and channel 2 (small gamma,
-    # beta -5) is negative everywhere before relu
+    # conv_bn_pool_relu's batch-norm, max-pool and relu tail, reached
+    # through a one-tap identity kernel, whose conv passes its input (and
+    # the input gradient) through exactly; gamma has a negative entry, and
+    # channel 2 (small gamma, beta -5) is negative everywhere before relu
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.h = rng.standard_normal((4, 3, 5)) * 2.0 + 1.0
         self.gamma = np.array([1.3, -0.8, 0.1])
         self.beta = np.array([0.2, -0.3, -5.0])
         self.probe = rng.standard_normal((4, 3, 2))
+        self.identity = Tensor(np.eye(3)[:, :, None])
+
+    def tail(self, h, gamma, beta):
+        return tz.conv_bn_pool_relu(h, self.identity, gamma, beta, 0, 1e-5)
 
     def loss(self, h, gamma, beta):
-        out, _, _ = tz.batchnorm_pool_relu(h, gamma, beta, 1e-5)
+        out, _, _ = self.tail(h, gamma, beta)
         return tz.tsum(out * Tensor(self.probe))
 
     def test_statistics(self):
-        out, mean, var = tz.batchnorm_pool_relu(
-            Tensor(self.h), Tensor(self.gamma), Tensor(self.beta), 1e-5)
+        out, mean, var = self.tail(Tensor(self.h), Tensor(self.gamma), Tensor(self.beta))
         np.testing.assert_allclose(mean, self.h.mean(axis=(0, 2)), rtol=1e-12)
         np.testing.assert_allclose(var, self.h.var(axis=(0, 2)), rtol=1e-12)
         y = ((self.h - mean[:, None]) / np.sqrt(var[:, None] + 1e-5)
@@ -238,7 +242,7 @@ class TestBatchnorm:
         h[0, :, 7] = h[0, :, 6]
         g = rng.standard_normal((4, 3, length // 2))
         ht, gt, bt = (Tensor(a, requires_grad=True) for a in (h, self.gamma, self.beta))
-        out, mean, var = tz.batchnorm_pool_relu(ht, gt, bt, 1e-5)
+        out, mean, var = self.tail(ht, gt, bt)
         backward(tz.tsum(out * Tensor(g)))
         expected = _bn_pool_relu_chain(h, self.gamma, self.beta, 1e-5, g)
         for got, want in zip((out.data, mean, var, ht.grad, gt.grad, bt.grad), expected):
@@ -249,8 +253,35 @@ class TestBatchnorm:
 
     def test_window_exceeds_length(self):
         with pytest.raises(ShapeError):
-            tz.batchnorm_pool_relu(Tensor(np.zeros((2, 1, 1))), Tensor(np.ones(1)),
-                                   Tensor(np.zeros(1)), 1e-5)
+            tz.conv_bn_pool_relu(Tensor(np.zeros((2, 1, 1))), Tensor(np.ones((1, 1, 1))),
+                                 Tensor(np.ones(1)), Tensor(np.zeros(1)), 0, 1e-5)
+
+
+@pytest.mark.parametrize("k, length", [(8, 16), (5, 16), (3, 9)])
+def test_block_matches_conv_then_chain_bit_for_bit(k, length):
+    # the block node against a conv1d node followed by the reference tail:
+    # the same product, statistics and output, and the conv1d backward of
+    # the tail's input gradient gives the same kernel and input gradients
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((4, 2, length))
+    w = rng.standard_normal((3, 2, k))
+    gamma, beta = np.array([1.3, -0.8, 0.1]), np.array([0.2, -0.3, -5.0])
+    xt, wt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, w, gamma, beta))
+    out, mean, var = tz.conv_bn_pool_relu(xt, wt, gt, bt, k // 2, 1e-5)
+    g = rng.standard_normal(out.shape)
+    backward(tz.tsum(out * Tensor(g)))
+
+    xc, wc = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    conv = tz.conv1d(xc, wc, 1, k // 2)
+    want_out, want_mean, want_var, gh, g_gamma, g_beta = _bn_pool_relu_chain(
+        conv.data, gamma, beta, 1e-5, g)
+    backward(tz.tsum(conv * Tensor(gh)))
+    pairs = ((out.data, want_out), (mean, want_mean), (var, want_var),
+             (xt.grad, xc.grad), (wt.grad, wc.grad), (gt.grad, g_gamma), (bt.grad, g_beta))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(x, xt.data)  # the block's input is read, never written
 
 
 class TestPool1d:

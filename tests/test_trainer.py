@@ -479,37 +479,78 @@ def _first_node(root, op):
     raise AssertionError(f"no {op!r} node on the tape")
 
 
-def test_backward_frees_the_step_graph():
-    # one desk-scale ddc + evidential-CE step, its forward outputs and loss
-    # still referenced: backward leaves behind only the parameter gradients
-    # and the few arrays the caller holds, not the step's activations
+def _block_bytes(settings, rows, num_scales):
+    # what the block nodes of one forward keep: per block, the normalized
+    # conv product [rows, width, t] in float64, the pooled output
+    # [rows, width, t // 2] in float64 and two bool masks of that size
+    total = 0
+    for scale in range(num_scales + 1):
+        length = settings.length >> scale
+        for width, kernel in zip(settings.conv_widths, settings.kernel_sizes):
+            t = length + 2 * (kernel // 2) - kernel + 1
+            total += rows * width * (8 * t + (8 + 2) * (t // 2))
+            length = t // 2
+    return total
+
+
+def _desk_step(num_scales, variant, method, evidential):
+    # one desk-scale training step up to its loss, under tracemalloc: the
+    # parameters, both forward outputs, the loss and the bytes the tape
+    # holds before backward
     settings = ex.BenchmarkSettings()
     _, _, source, target = ex.benchmark_domains(settings, 0, 1.0)
     params = mo.init(mo.ModelConfig(
         channels=settings.channels, length=settings.length,
-        num_classes=settings.num_classes, num_scales=0, variant=None,
-        conv_widths=settings.conv_widths, kernel_sizes=settings.kernel_sizes,
-        seed=0))
-    config = tr.TrainConfig(batch_size=32, method="ddc", evidential="ce",
-                            weights=tr.default_weights("ddc", "ce"))
+        num_classes=settings.num_classes, num_scales=num_scales,
+        variant=variant, conv_widths=settings.conv_widths,
+        kernel_sizes=settings.kernel_sizes, seed=0))
+    config = tr.TrainConfig(batch_size=32, method=method, evidential=evidential,
+                            weights=tr.default_weights(method, evidential))
     rng = np.random.default_rng(0)
     labels = LabelBatch.from_labels(source.labels[:32], settings.num_classes)
+    tensors = mo.make_param_tensors(params, trainable=True)
+    held_before = tracemalloc.get_traced_memory()[0]
+    fwd_src = mo.forward(params, source.values[:32], mode="train", rng=rng,
+                         param_tensors=tensors)
+    fwd_tgt = mo.forward(params, target.values[:32], mode="train", rng=rng,
+                         param_tensors=tensors)
+    total, _ = tr.combined_loss(fwd_src, fwd_tgt, labels, config,
+                                AnnealSchedule(epoch=0, horizon=10))
+    held = tracemalloc.get_traced_memory()[0] - held_before
+    return settings, params, tensors, fwd_src, total, held
+
+
+@pytest.mark.parametrize("num_scales, variant, method, evidential",
+                         [(0, None, "ddc", "ce"), (2, "M", "ddc", "none")])
+def test_step_tape_holds_what_backward_reads(num_scales, variant, method,
+                                             evidential):
+    # before backward, the tape of a desk-scale step holds the block
+    # nodes' arrays (for the source and the target forward) and a quarter
+    # more for everything else: inputs, scale series, heads and loss.  A
+    # block that also kept its raw conv product, one more full-size
+    # buffer, or a padded copy of its input would not fit.
     tracemalloc.start()
     try:
-        tensors = mo.make_param_tensors(params, trainable=True)
-        fwd_src = mo.forward(params, source.values[:32], mode="train", rng=rng,
-                             param_tensors=tensors)
-        fwd_tgt = mo.forward(params, target.values[:32], mode="train", rng=rng,
-                             param_tensors=tensors)
-        total, _ = tr.combined_loss(fwd_src, fwd_tgt, labels, config,
-                                    AnnealSchedule(epoch=0, horizon=10))
-        conv_out = weakref.ref(_first_node(total, "conv1d").data)
+        settings, *_, held = _desk_step(num_scales, variant, method, evidential)
+    finally:
+        tracemalloc.stop()
+    assert held < 1.25 * 2 * _block_bytes(settings, 32, num_scales)
+
+
+def test_backward_frees_the_step_graph():
+    # one desk-scale ddc + evidential-CE step, its forward outputs and loss
+    # still referenced: backward leaves behind only the parameter gradients
+    # and the few arrays the caller holds, not the step's activations
+    tracemalloc.start()
+    try:
+        settings, params, tensors, fwd_src, total, _ = _desk_step(0, None, "ddc", "ce")
+        block_out = weakref.ref(_first_node(total, "conv_bn_pool_relu").data)
         tr.backward(total)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held < 1e6
-    assert conv_out() is None  # so is the node, the array's only holder
+    assert block_out() is None  # so is the node, the array's only holder
     for name in params.trainable_names():
         assert np.all(np.isfinite(tensors[name].grad))
     assert fwd_src.final_logits.data.shape == (32, settings.num_classes)
