@@ -4,7 +4,7 @@
 Each digest covers the trained parameters, the `TrainLog` lines and both
 heads' `predict` outputs on the target domain after a 2-epoch run.  The
 grid covers every down-sampling variant (LM at 3 scales, L at an odd
-length so that its conv output is cropped), every alignment method and
+length, where its conv drops the last step), every alignment method and
 every evidential kind, so two source trees that print the same lines
 train and predict bit for bit alike on all of them:
 

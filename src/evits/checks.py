@@ -85,6 +85,8 @@ def end_to_end_suite(seed=0, step=1e-5):
 
 def run_suite(name, points=DEFAULT_POINTS, seed=0):
     """Returns (worst error, tolerance) for one named suite."""
+    if points < 1:
+        raise ConfigError("a gradient suite needs points >= 1")
     if name == "end2end":
         return end_to_end_suite(seed=seed), END_TO_END_TOLERANCE
     if name not in _SEED_TAGS:

@@ -117,19 +117,23 @@ def _flag(key):
 def _read_config_file(path):
     """Flat key=value lines; '#' starts a comment.  Maps each key to its
     text and to where it stands, for error messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{line_no}: no command takes {key!r}")
-            values[key] = (value.strip(), f"{path}:{line_no}: {key}")
+    for line_no, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{line_no}: no command takes {key!r}")
+        values[key] = (value.strip(), f"{path}:{line_no}: {key}")
     return values
 
 
@@ -475,7 +479,7 @@ def main(argv=None):
     except NumericalAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ToolkitError, FileNotFoundError) as exc:
+    except (ToolkitError, OSError) as exc:  # OSError: a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -106,11 +106,18 @@ class FrameReader:
 
 
 def write_evts(batch, path):
+    """Store `batch` as EVTS; NaN and inf are stored as they are, but a
+    finite value beyond the float32 range raises DomainError."""
     n, c, t = batch.values.shape
+    with np.errstate(over="ignore"):
+        values = np.ascontiguousarray(batch.values, dtype="<f4")
+    overflow = np.isinf(values) & np.isfinite(batch.values)
+    if overflow.any():
+        raise DomainError(f"row {np.argwhere(overflow)[0, 0]} holds a finite "
+                          "value beyond the float32 range of EVTS storage")
     chunks = [pack_u32(n), pack_u32(c), pack_u32(t),
               pack_u32(batch.num_classes),
-              (b"\x01" if batch.labeled else b"\x00"),
-              np.ascontiguousarray(batch.values, dtype="<f4").tobytes()]
+              (b"\x01" if batch.labeled else b"\x00"), values.tobytes()]
     if batch.labeled:
         chunks.append(np.ascontiguousarray(batch.labels, dtype="<i4").tobytes())
     write_framed(path, EVTS_MAGIC, EVTS_VERSION, chunks)
@@ -214,6 +221,8 @@ class SynthSpec:
         if (len(self.class_freqs) != self.num_classes
                 or len(self.class_amps) != self.num_classes):
             raise ConfigError("need one frequency and amplitude per class")
+        if not np.all(np.isfinite([*self.class_freqs, *self.class_amps])):
+            raise ConfigError("class frequencies and amplitudes must be finite")
 
 
 def synth_generate(spec, domain):

@@ -40,7 +40,8 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class LabelBatch:
-    """Integer class labels with their one-hot encoding."""
+    """Integer class labels with their one-hot encoding: every row of
+    `one_hot` holds a single 1, which the loss backwards rely on."""
 
     labels: np.ndarray
     one_hot: np.ndarray
@@ -113,7 +114,7 @@ def uncertainty(batch):
 def loss_ml(batch, labels):
     """Per-sample negative log marginal likelihood: sum_k y_k (ln S - ln alpha_k).
 
-    One tape node; d/d alpha_k = (sum_j y_j) / S - y_k / alpha_k.
+    One tape node; with one-hot y, d/d alpha_k = 1 / S - y_k / alpha_k.
     """
     _check_pair(batch, labels)
     alpha, y = batch.alpha, labels.one_hot
@@ -122,7 +123,7 @@ def loss_ml(batch, labels):
     out = np.log(total) - (y * np.log(alpha.data)).sum(axis=1)
 
     def bwd(g):
-        grad = y.sum(axis=1, keepdims=True) / total[:, None] - y / alpha.data
+        grad = 1.0 / total[:, None] - y / alpha.data
         _accumulate(alpha, g[:, None] * grad)
 
     return _node(out, (alpha,), bwd, "loss_ml")
@@ -131,7 +132,7 @@ def loss_ml(batch, labels):
 def loss_ce(batch, labels):
     """Per-sample Bayesian risk of cross-entropy: sum_k y_k (psi(S) - psi(alpha_k)).
 
-    One tape node; d/d alpha_k = (sum_j y_j) psi1(S) - y_k psi1(alpha_k).
+    One tape node; with one-hot y, d/d alpha_k = psi1(S) - y_k psi1(alpha_k).
     """
     _check_pair(batch, labels)
     alpha, y = batch.alpha, labels.one_hot
@@ -141,7 +142,7 @@ def loss_ce(batch, labels):
 
     def bwd(g):
         tg_alpha, tg_total, _ = _split(trigamma(stacked), alpha.shape)
-        grad = y.sum(axis=1, keepdims=True) * tg_total - y * tg_alpha
+        grad = tg_total - y * tg_alpha
         _accumulate(alpha, g[:, None] * grad)
 
     return _node(out, (alpha,), bwd, "loss_ce")

@@ -2,8 +2,9 @@
 classification loss over final plus auxiliary heads.
 
 A series [N, C, P] is reduced level by level with one of five stride-2
-variants; level m has time extent floor(P / 2^m).  Only the conv-bearing
-variants (L, LM) carry trainable parameters.
+variants; each reduction maps T steps to floor(T/2), so level m has time
+extent floor(P / 2^m).  Only the conv-bearing variants (L, LM) carry
+trainable parameters.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ REDUCTION_CYCLES = {"L": ("conv",), "LM": ("max", "conv"), "M": ("max",),
 VARIANTS = tuple(REDUCTION_CYCLES)
 
 DOWNSAMPLE_KERNEL = 3
-DOWNSAMPLE_PADDING = 1
 
 
 def reduction_plan(num_scales, variant, train=True):
@@ -41,11 +41,11 @@ def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
     reduction; x_0 is the untouched input.
 
     Each level runs its `reduction_plan` entry.  variant L: stride-2 conv
-    (kernel 3, padding 1, channel-preserving); LM: max-pool then conv on
-    alternating reductions; M / A / R: window-2 stride-2 max / average /
-    random pooling.  Random pooling needs `rng` during training.  Conv
-    outputs are cropped to floor(T/2) at odd lengths so every level obeys
-    the floor(P / 2^m) extent.
+    (kernel 3, channel-preserving) over the series with one zero step
+    prepended; LM: max-pool then conv on alternating reductions; M / A / R:
+    window-2 stride-2 max / average / random pooling.  Random pooling needs
+    `rng` during training.  Every reduction maps T steps to floor(T/2), so
+    level m has the floor(P / 2^m) extent.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -77,12 +77,9 @@ def build_scales(x, num_scales, variant, rng=None, down_convs=None, train=True):
     current = x
     kernels = iter(convs)
     for op in plan:
-        if op == "conv":
-            target_len = current.shape[2] // 2
-            current = tz.conv1d(current, next(kernels), stride=2,
-                                padding=DOWNSAMPLE_PADDING)
-            if current.shape[2] > target_len:
-                current = tz.crop1d(current, target_len)
+        if op == "conv":  # one zero step on the left: floor(T/2) outputs
+            padded = tz.concat([np.zeros(current.shape[:2] + (1,)), current], axis=2)
+            current = tz.conv1d(padded, next(kernels), stride=2)
         else:
             current = tz.pool1d(current, op, rng=rng)
         scales.append(current)
@@ -118,8 +115,8 @@ def softmax_terms(logits):
 def softmax_cross_entropy(logits, labels):
     """Mean softmax cross-entropy over the batch.
 
-    One tape node; d/d logits = (g / n) (softmax (sum_k y_k) - y).
-    Non-finite logits raise DomainError.
+    One tape node; with one-hot label rows y, d/d logits = (g / n)
+    (softmax - y).  Non-finite logits raise DomainError.
     """
     logits = as_tensor(logits)
     y = labels.one_hot
@@ -131,7 +128,7 @@ def softmax_cross_entropy(logits, labels):
 
     def bwd(g):
         probs = exp_shift / total
-        _accumulate(logits, (probs * y.sum(axis=1, keepdims=True) - y) * (g / n))
+        _accumulate(logits, (probs - y) * (g / n))
 
     return _node(per_sample.sum() * (1.0 / n), (logits,), bwd, "softmax_ce")
 

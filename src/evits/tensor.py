@@ -1,10 +1,12 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-The supported primitive set is exactly what the model and losses need:
-elementwise arithmetic with numpy broadcasting, matmul, relu / softplus /
-log, reductions, reshape / concatenation / cropping,
-1-D convolution (cross-correlation, zero padding), 1-D pooling and a
-backbone block's conv -> batch-norm -> max-pool -> relu as one node.
+The model graph uses elementwise add / mul / div with numpy
+broadcasting, matmul, softplus, sum / mean, reshape / concatenation, 1-D
+convolution (cross-correlation, zero padding), 1-D pooling and a backbone
+block's conv -> batch-norm -> max-pool -> relu as one node.  ``power``,
+``relu`` and ``log`` have no caller there: they stay for the benchmark
+tracer, which times the first two, and for the tests, which chain all
+three as oracles for the fused nodes.
 Applying an operation records the node on the implicit tape; ``backward``
 on a scalar output replays it and accumulates one gradient array per leaf
 that needs one.  It frees the graph as it goes: once a node's backward has
@@ -104,13 +106,9 @@ def as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _tracked(tensor):  # a gradient reaches a leaf that asks for one, or a node
-    return tensor.requires_grad or tensor._parents
-
-
 def _node(data, parents, backward_fn, op):
     # constant folding: drop the tape record when no parent can need a gradient
-    tracked = tuple(p for p in parents if _tracked(p))
+    tracked = tuple(p for p in parents if p.requires_grad)
     out = Tensor(data)
     if tracked:
         out.requires_grad = True
@@ -121,7 +119,7 @@ def _node(data, parents, backward_fn, op):
 
 
 def _accumulate(tensor, grad):
-    if _tracked(tensor):
+    if tensor.requires_grad:
         tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
@@ -302,23 +300,6 @@ def concat(tensors, axis):
                  tuple(tensors), bwd, "concat")
 
 
-def crop1d(a, length):
-    """Keep the first `length` steps of the time axis of an [N, C, T] tensor."""
-    a = as_tensor(a)
-    if a.data.ndim != 3:
-        raise ShapeError("crop1d expects [N, C, T]")
-    t_full = a.data.shape[2]
-    if length > t_full:
-        raise ShapeError("crop length exceeds time extent")
-
-    def bwd(g):
-        gx = np.zeros_like(a.data)
-        gx[:, :, :length] = g
-        _accumulate(a, gx)
-
-    return _node(a.data[:, :, :length].copy(), (a,), bwd, "crop1d")
-
-
 # -- reductions ----------------------------------------------------------------
 
 
@@ -416,10 +397,10 @@ def _conv_backward(g, x, kernel, stride, padding):
     n, cin, t = x.data.shape
     cout, _, k = kernel.data.shape
     t_out = g.shape[2]
-    if _tracked(kernel):
+    if kernel.requires_grad:
         gw = np.matmul(g, _windows(x.data, k, t_out, stride, padding).transpose(0, 2, 1))
         _accumulate(kernel, gw.sum(axis=0).reshape(cout, cin, k))
-    if _tracked(x):
+    if x.requires_grad:
         # the transposed convolution (Dumoulin & Visin, 2016): g spread
         # to steps k - 1 + stride * i of a zero buffer, correlated with
         # the flipped kernel over the unpadded input steps

@@ -78,6 +78,10 @@ class TrainConfig:
             raise ConfigError("need at least one epoch")
         if self.batch_size < 2:
             raise ConfigError("covariance-based losses need batch size >= 2")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning rate must be finite and > 0")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError("weight decay must be finite and >= 0")
         if self.evidential not in EVIDENTIAL_KINDS:
             raise ConfigError(f"evidential kind must be one of {EVIDENTIAL_KINDS}")
         if self.method not in alignment.METHODS:

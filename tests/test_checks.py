@@ -27,6 +27,12 @@ def test_run_suite_dispatch():
         checks.run_suite("everything")
 
 
+@pytest.mark.parametrize("name", checks.SUITES)
+def test_run_suite_needs_a_point(name):
+    with pytest.raises(ConfigError, match="points >= 1"):
+        checks.run_suite(name, points=0)
+
+
 def test_suites_deterministic_per_seed():
     for name in checks.SUITES:
         a = checks.run_suite(name, points=5, seed=3)

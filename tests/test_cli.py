@@ -372,6 +372,12 @@ class TestGradcheck:
         assert "suite=ce" in out and "PASS" in out
         assert "suite=ml" not in out
 
+    def test_zero_points_exits_2(self, capsys):
+        assert run_cli("gradcheck", "--suite", "ml", "--points", "0") == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "points >= 1" in captured.err
+
     def test_deterministic_output(self, capsys):
         run_cli("gradcheck", "--suite", "kl", "--points", "4", "--seed", "9")
         first = capsys.readouterr().out
@@ -528,6 +534,47 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 def test_missing_file_exits_2(tmp_path):
     assert run_cli("eval", "--model", str(tmp_path / "nope.evtm"),
                    "--data", str(tmp_path / "nope.evts")) == 2
+
+
+def _directory_as_source(tmp_path):
+    argv = ["train", "--source", str(tmp_path), "--out-dir", str(tmp_path / "out")]
+    return argv, tmp_path
+
+
+def _directory_as_config(tmp_path):
+    argv = ["gen-data", "--out-dir", str(tmp_path / "out"), "--config", str(tmp_path)]
+    return argv, tmp_path
+
+
+def _file_as_out_dir(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    return ["gen-data", "--out-dir", str(path), "--n-per-class", "2"], path
+
+
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "latin1.conf"
+    path.write_bytes("seed = 1  # caf\u00e9\n".encode("latin-1"))
+    argv = ["gen-data", "--out-dir", str(tmp_path / "out"), "--config", str(path)]
+    return argv, path
+
+
+@pytest.mark.parametrize("case", [_directory_as_source, _directory_as_config,
+                                  _file_as_out_dir, _non_utf8_config])
+def test_unusable_path_exits_2_naming_it(tmp_path, capsys, case):
+    argv, path = case(tmp_path)  # an uncaught error would raise out of main
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("flag,values", [("--class-freqs", "nan,1,2"),
+                                         ("--class-amps", "1e39,1,2")])
+def test_unstorable_synthetic_data_exits_2(tmp_path, capsys, flag, values):
+    assert run_cli("gen-data", "--out-dir", str(tmp_path), "--classes", "3",
+                   "--n-per-class", "2", flag, values) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "source.evts").exists()
 
 
 def test_version_flag(capsys):

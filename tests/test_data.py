@@ -39,6 +39,25 @@ class TestEvtsContainer:
         da.write_evts(da.read_evts(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_finite_value_beyond_float32_names_its_row(self, tmp_path):
+        batch = small_batch()
+        batch.values[4, 1, 2] = -1e39
+        batch.values[5, 0, 0] = 4e38
+        path = tmp_path / "big.evts"
+        with pytest.raises(DomainError, match="row 4 "):
+            da.write_evts(batch, path)
+        assert not path.exists()
+
+    def test_nan_and_inf_are_stored_as_given(self, tmp_path):
+        batch = small_batch()
+        batch.values[1, 0, 3] = np.nan
+        batch.values[2, 1, 0] = -np.inf
+        batch.values[3, 0, 1] = np.finfo(np.float32).max  # the largest storable
+        path = tmp_path / "special.evts"
+        da.write_evts(batch, path)
+        assert np.array_equal(da.read_evts(path).values, batch.values,
+                              equal_nan=True)
+
     def test_corrupted_checksum(self, tmp_path):
         path = tmp_path / "c.evts"
         da.write_evts(small_batch(), path)
@@ -239,3 +258,11 @@ def test_validation_errors():
         da.SynthSpec(num_classes=1)
     with pytest.raises(ConfigError):
         da.SynthSpec(amp_scale=float("inf"))
+
+
+@pytest.mark.parametrize("field,values", [
+    ("class_freqs", [np.nan, 1.0, 2.0]), ("class_freqs", [1.0, np.inf, 2.0]),
+    ("class_amps", [1.0, 2.0, -np.inf]), ("class_amps", [np.nan, 1.0, 2.0])])
+def test_synth_spec_rejects_non_finite_class_values(field, values):
+    with pytest.raises(ConfigError, match="must be finite"):
+        da.SynthSpec(num_classes=3, **{field: values})

@@ -24,6 +24,14 @@ def down_convs(count, channels=1, seed=1):
             for _ in range(count)]
 
 
+def down_conv_oracle(x, kernel):
+    """One zero step on the left of [N, C, T], then a stride-2
+    cross-correlation with a [Cout, C, 3] kernel, window by window."""
+    padded = np.concatenate([np.zeros(x.shape[:2] + (1,)), x], axis=2)
+    return np.stack([np.einsum("ock,nck->no", kernel, padded[:, :, i:i + 3])
+                     for i in range(0, padded.shape[2] - 2, 2)], axis=2)
+
+
 class TestBuildScales:
     def test_extents_128(self):
         out = ms.build_scales(rand_series((2, 3, 128)), 2, "M")
@@ -90,6 +98,34 @@ class TestBuildScales:
         with pytest.raises(ConfigError):
             ms.build_scales(rand_series((1, 1, 16)), 2, "L",
                             down_convs=down_convs(1))
+
+    @pytest.mark.parametrize("length", [8, 9])
+    def test_down_conv_matches_numpy_oracle(self, length):
+        # integer inputs and kernels keep every sum exact in any order
+        rng = np.random.default_rng(length)
+        x = rng.integers(-4, 5, (2, 2, length)).astype(np.float64)
+        kernel = rng.integers(-3, 4, (2, 2, 3)).astype(np.float64)
+        out = ms.build_scales(Tensor(x), 1, "L", down_convs=[Tensor(kernel)])
+        assert np.array_equal(out[1].data, down_conv_oracle(x, kernel))
+
+    @pytest.mark.parametrize("variant,num_scales,length,n_convs", [
+        ("L", 2, 9, 2), ("LM", 3, 19, 1)], ids=["L-odd", "LM-3"])
+    def test_gradients_through_scales(self, variant, num_scales, length, n_convs):
+        x = rand_series((2, 2, length), seed=8)
+        kernels = down_convs(n_convs, channels=2, seed=9)
+        rng = np.random.default_rng(10)
+        weights = [rng.standard_normal((2, 2, length >> m))
+                   for m in range(num_scales + 1)]
+
+        def objective(series, convs):
+            scales = ms.build_scales(series, num_scales, variant, down_convs=convs)
+            assert [s.shape[2] for s in scales] == [w.shape[2] for w in weights]
+            return sum((s * w).sum() for s, w in zip(scales, weights))
+
+        assert grad_check(lambda v: objective(v, kernels), x) < 1e-6
+        for j in range(n_convs):
+            assert grad_check(lambda w: objective(
+                x, kernels[:j] + [w] + kernels[j + 1:]), kernels[j]) < 1e-6
 
     @pytest.mark.parametrize("variant,num_scales,train,plan", [
         ("L", 3, True, ["conv", "conv", "conv"]),

@@ -447,6 +447,16 @@ def test_train_config_validation():
         tr.LossWeights(lambda1=-0.5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", -0.01), ("learning_rate", 0.0),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("weight_decay", -1e-4), ("weight_decay", float("nan")),
+    ("weight_decay", float("inf"))])
+def test_train_config_rejects_bad_step_settings(field, value):
+    with pytest.raises(ConfigError, match=field.replace("_", " ")):
+        train_config(**{field: value})
+
+
 def test_default_weights_table():
     assert tr.default_weights("noadapt", "none").lambda2 == 0.0
     assert tr.default_weights("ddc", "ce").lambda2 == 1.0
