@@ -151,17 +151,19 @@ def _pooled_sq_dists(src, tgt):
 
 
 def _median_bandwidths(sq):
-    """The median heuristic from the pooled squared distances `sq`: one copy
-    of the off-diagonal entries (a strided view that skips each diagonal
-    step), partitioned in place.  Only the middle two get a square root,
-    which gives np.median's rooted value bit for bit: sqrt is monotone."""
-    n = len(sq)
-    off = sq.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(-1)
+    """The median heuristic from the pooled squared distances `sq`.
+
+    `sq` is exactly symmetric (`pooled @ pooled.T` is one syrk product and
+    the norm sums commute), so its n (n - 1) off-diagonal entries are the
+    strict upper triangle twice over, and the middle two of them are the
+    triangle's middle one or two.  Only those get a square root, which gives
+    np.median's rooted value bit for bit: sqrt is monotone."""
+    upper = np.concatenate([row[i + 1:] for i, row in enumerate(sq)])
     median = 0.0
-    if off.size:  # n (n - 1) entries, an even count
-        mid = off.size // 2
-        off.partition((mid - 1, mid))
-        median = float((np.sqrt(off[mid - 1]) + np.sqrt(off[mid])) / 2)
+    if upper.size:
+        lo, hi = (upper.size - 1) // 2, upper.size // 2
+        upper.partition((lo, hi))
+        median = float((np.sqrt(upper[lo]) + np.sqrt(upper[hi])) / 2)
     if median <= 0.0:
         median = 1.0
     return [median * s for s in DEFAULT_BANDWIDTH_SCALES]

@@ -20,7 +20,7 @@ from . import __version__
 from . import alignment, checks, data as da, metrics as me, model as mo
 from . import multiscale as ms
 from . import trainer as tr
-from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError
+from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError, check_seed
 
 OUTPUT_DIR_ENV = "EVITS_OUTDIR"
 
@@ -56,6 +56,12 @@ def _parse_shift(text):
     return fields
 
 
+def _seed(text):
+    seed = int(text)
+    check_seed(seed)  # a ConfigError is a ValueError, so _convert names the flag
+    return seed
+
+
 class Param(NamedTuple):
     """One run parameter: a `--key` flag and a `key = value` config line."""
 
@@ -71,7 +77,7 @@ _GEN = ("gen-data",)
 _TRAIN = ("train", "select-lambda3")
 
 PARAMS = (
-    Param("seed", int, tr.TrainConfig.seed,
+    Param("seed", _seed, tr.TrainConfig.seed,
           _GEN + _TRAIN + ("discrepancy", "gradcheck")),
     # None: $EVITS_OUTDIR, else "."
     Param("out_dir", str, None, _GEN + _TRAIN + ("eval", "discrepancy")),

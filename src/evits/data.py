@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError, check_seed
 
 EVTS_MAGIC = b"EVTS"
 EVTS_VERSION = 1
@@ -214,6 +214,10 @@ class SynthSpec:
                       self.noise_sigma):
             if not np.isfinite(value):
                 raise ConfigError("shift and noise parameters must be finite")
+        for name in ("noise_sigma", "extra_noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, not {getattr(self, name)!r}")
+        check_seed(self.seed, "synthetic data")
         if not self.class_freqs:
             self.class_freqs = [2.0 + 3.0 * c for c in range(self.num_classes)]
         if not self.class_amps:

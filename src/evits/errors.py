@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the seed check."""
+
+import numbers
 
 
 class ToolkitError(Exception):
@@ -45,3 +47,10 @@ class NumericalAbort(ToolkitError):
         self.component = component
         self.epoch = epoch
         self.step = step
+
+
+def check_seed(seed, owner="the"):
+    """Raise ConfigError unless `seed` is a non-negative integer, the seeds
+    numpy's SeedSequence takes."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"{owner} seed must be a non-negative integer, not {seed!r}")

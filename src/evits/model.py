@@ -38,7 +38,7 @@ import numpy as np
 from . import multiscale as ms
 from . import tensor as tz
 from .data import FrameReader, pack_u32, write_framed
-from .errors import ConfigError, DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError, check_seed
 from .evidential import evidence_to_alpha, predict_mean, uncertainty
 from .tensor import Tensor
 
@@ -68,6 +68,7 @@ class ModelConfig:
             raise ConfigError("channels and length must be positive")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
+        check_seed(self.seed, "model")
         if self.num_scales < 0:
             raise ConfigError("num_scales must be >= 0")
         if self.length >> self.num_scales == 0:

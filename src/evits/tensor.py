@@ -528,28 +528,37 @@ def pool1d(x, kind, rng=None):
 # -- verification ---------------------------------------------------------------
 
 
-def central_difference_error(value, array, analytic, step):
-    """Max relative gap between the taped gradient `analytic` of `array`
-    (None means zero) and central differences of the scalar `value()`.
+def shifted_points(flat, step):
+    """The two central-difference values of each entry of the 1-D `flat`:
+    [size, 2], entry i moved by +step in column 0 and by -step in column 1."""
+    return np.stack([flat + step, flat - step], axis=1)
 
-    Each coordinate of `array` is moved by +-step in place and restored;
-    relative error per coordinate is |analytic - fd| / max(1, |analytic|).
+
+def difference_error(values, analytic, step):
+    """Max relative gap |analytic - fd| / max(1, |analytic|) between the
+    taped gradient `analytic` (None means zero) and the central differences
+    fd of `values`, the function at each point of `shifted_points` [size, 2].
+
+    A NaN anywhere gives NaN, which fails every `error <= tolerance` check.
     """
+    fd = (values[:, 0] - values[:, 1]) / (2.0 * step)
+    analytic = 0.0 if analytic is None else analytic.reshape(-1)
+    rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))
+    return float(rel.max(initial=0.0))
+
+
+def central_difference_error(value, array, analytic, step):
+    """`difference_error` of the scalar `value()`, read with each entry of
+    `array` moved in place to its two `shifted_points` and then restored."""
     flat = array.reshape(-1)
-    analytic = (np.zeros(flat.size) if analytic is None
-                else analytic.reshape(-1))
-    worst = 0.0
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + step
-        f_plus = float(value().data.reshape(()))
-        flat[i] = saved - step
-        f_minus = float(value().data.reshape(()))
+    points = shifted_points(flat, step)
+    values = np.empty(points.shape)
+    for i, saved in enumerate(flat.copy()):
+        for side in (0, 1):
+            flat[i] = points[i, side]
+            values[i, side] = value().data.reshape(())
         flat[i] = saved
-        fd = (f_plus - f_minus) / (2.0 * step)
-        rel = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
-        worst = max(worst, rel)
-    return worst
+    return difference_error(values, analytic, step)
 
 
 def grad_check(fn, point, step=1e-5):

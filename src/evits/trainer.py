@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from . import alignment, metrics, model as mo
-from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError
+from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError, check_seed
 from .evidential import (
     LOSSES,
     AnnealSchedule,
@@ -88,6 +88,7 @@ class TrainConfig:
             raise ConfigError(f"method must be one of {alignment.METHODS}")
         if self.anneal_horizon < 1:
             raise ConfigError("anneal horizon must be positive")
+        check_seed(self.seed, "training")
         if self.method == "noadapt" and self.weights.lambda2 != 0.0:
             warnings.warn("method 'noadapt' ignores lambda2; domain loss forced "
                           "to 0", stacklevel=3)

@@ -362,6 +362,13 @@ def test_mmd_rbf_matches_three_product_reference(case):
     assert al.mmd_rbf(src, tgt, [0.3, 2.5]) == reference_mmd_rbf(src, tgt, [0.3, 2.5])
 
 
+@pytest.mark.parametrize("case", RBF_CASES, ids=str)
+def test_pooled_sq_dists_exactly_symmetric(case):
+    # the median heuristic reads one triangle for the pair of entries
+    sq = al._pooled_sq_dists(*rbf_batches(case))
+    assert np.array_equal(sq, sq.T)
+
+
 def test_median_fallback_is_unit_width():
     assert al._mmd_rbf(*rbf_batches("all_equal"))[1] == [0.5, 1.0, 2.0]
 

@@ -1,7 +1,13 @@
+import numpy as np
 import pytest
 
-from evits import checks
+from evits import checks, cli
+from evits import evidential as ev
+from evits import tensor as tz
 from evits.errors import ConfigError
+from evits.tensor import Tensor, grad_check
+
+ROW_SUITES = ("ml", "ce", "mse", "kl")
 
 
 @pytest.mark.parametrize("kind", ["ml", "ce", "mse"])
@@ -33,8 +39,66 @@ def test_run_suite_needs_a_point(name):
         checks.run_suite(name, points=0)
 
 
+@pytest.mark.parametrize("name", checks.SUITES)
+def test_run_suite_needs_a_non_negative_seed(name):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        checks.run_suite(name, points=1, seed=-1)
+
+
 def test_suites_deterministic_per_seed():
     for name in checks.SUITES:
         a = checks.run_suite(name, points=5, seed=3)
         assert a == checks.run_suite(name, points=5, seed=3)
         assert 0.0 < a[0] < a[1]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", ROW_SUITES)
+def test_stacked_suite_matches_per_coordinate_oracle(name, seed):
+    points = 12
+    cases = checks._row_cases(name, checks._suite_rng(name, seed), points)
+    oracle = max(grad_check(lambda x: rows(x).sum(), point) for rows, point in cases)
+    assert checks.run_suite(name, points=points, seed=seed)[0] == oracle
+
+
+@pytest.mark.parametrize("name", ROW_SUITES)
+def test_stacked_values_equal_solo_calls(name):
+    step = 1e-5
+    cases = checks._row_cases(name, checks._suite_rng(name, 2), 4)
+    for rows, point in cases:
+        solo = np.empty((point.size, 2))
+        for i in range(point.size):
+            for side, shift in enumerate((step, -step)):
+                copy = point.copy()
+                copy.flat[i] += shift
+                solo[i, side] = rows(Tensor(copy)).sum().data
+        assert np.array_equal(checks._stacked_values(rows, point, step), solo)
+
+
+def _nan_gradient(loss_fn):
+    """`loss_fn` with its values kept and an all-NaN backward."""
+    def loss(batch, labels):
+        alpha = batch.alpha
+        return tz._node(loss_fn(batch, labels).data, (alpha,),
+                        lambda g: tz._accumulate(alpha, np.full(alpha.shape, np.nan)),
+                        "nan_loss")
+    return loss
+
+
+def test_nan_gradient_fails_its_suite(monkeypatch, capsys):
+    monkeypatch.setitem(checks.LOSSES, "ml", _nan_gradient(ev.loss_ml))
+    assert np.isnan(checks.run_suite("ml", points=3, seed=0)[0])
+    assert cli.main(["gradcheck", "--suite", "ml", "--points", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "worst_rel_error=nan" in out and "FAIL" in out
+
+
+def test_nan_error_of_one_parameter_fails_end2end(monkeypatch):
+    exact, calls = checks.central_difference_error, []
+
+    def nan_for_the_second(*args):
+        calls.append(args)
+        return np.nan if len(calls) == 2 else exact(*args)
+
+    monkeypatch.setattr(checks, "central_difference_error", nan_for_the_second)
+    assert np.isnan(checks.end_to_end_suite(seed=0))

@@ -577,6 +577,27 @@ def test_unstorable_synthetic_data_exits_2(tmp_path, capsys, flag, values):
     assert not (tmp_path / "source.evts").exists()
 
 
+@pytest.mark.parametrize("argv,field", [
+    (("gen-data", "--noise", "-1"), "noise_sigma"),
+    (("gen-data", "--shift", "noise=-1"), "extra_noise"),
+    (("gen-data", "--seed", "-1"), "--seed"),
+    (("gradcheck", "--suite", "ml", "--points", "1", "--seed", "-1"), "--seed")])
+def test_negative_seed_or_noise_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                  argv, field):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "source.evts").exists()
+
+
+def test_negative_seed_config_line_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = -2\n")
+    assert run_cli("gradcheck", "--config", str(config), "--points", "1") == 2
+    assert "run.cfg:1: seed" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as result:
         run_cli("--version")

@@ -266,3 +266,15 @@ def test_validation_errors():
 def test_synth_spec_rejects_non_finite_class_values(field, values):
     with pytest.raises(ConfigError, match="must be finite"):
         da.SynthSpec(num_classes=3, **{field: values})
+
+
+@pytest.mark.parametrize("field", ["noise_sigma", "extra_noise"])
+def test_synth_spec_rejects_negative_noise(field):
+    with pytest.raises(ConfigError, match=field):
+        da.SynthSpec(**{field: -1.0})
+    assert getattr(da.SynthSpec(**{field: 0.0}), field) == 0.0
+
+
+def test_synth_spec_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        da.SynthSpec(seed=-1)

@@ -74,6 +74,10 @@ class TestInit:
         with pytest.raises(ConfigError):
             config(num_scales=1, variant=None)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config(seed=-1)  # model.init would raise numpy's bare ValueError
+
     def test_default_variant_builds_at_zero_scales(self):
         params = mo.init(config(num_scales=0))  # variant keeps its default "M"
         assert params.config.variant == "M"

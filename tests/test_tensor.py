@@ -474,6 +474,28 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="inner failure"):
             grad_check(bad, Tensor(arr(1.0)))
 
+    @staticmethod
+    def sum_node(x, value, grad):
+        """A scalar node over `x` with the given value and backward."""
+        return tz._node(np.asarray(value), (x,),
+                        lambda g: tz._accumulate(x, g * grad), "probe")
+
+    def test_nan_gradient_fails(self):
+        point = arr(0.5, 2.0)
+        def nan_backward(x):
+            return self.sum_node(x, x.data.sum(), np.full(2, np.nan))
+
+        assert np.isnan(grad_check(nan_backward, Tensor(point)))
+
+    def test_nan_value_at_a_shifted_point_fails(self):
+        point = arr(0.5, 2.0)
+
+        def nan_off_point(x):
+            value = x.data.sum() if np.array_equal(x.data, point) else np.nan
+            return self.sum_node(x, value, np.ones(2))
+
+        assert np.isnan(grad_check(nan_off_point, Tensor(point)))
+
 
 def test_operations_deterministic():
     rng = np.random.default_rng(11)

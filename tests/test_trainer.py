@@ -457,6 +457,12 @@ def test_train_config_rejects_bad_step_settings(field, value):
         train_config(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_train_config_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        train_config(seed=seed)
+
+
 def test_default_weights_table():
     assert tr.default_weights("noadapt", "none").lambda2 == 0.0
     assert tr.default_weights("ddc", "ce").lambda2 == 1.0
