@@ -2,18 +2,23 @@
 
 The training losses (mean matching, covariance matching, higher-order
 moment matching and the combined form) differentiate through the tape:
-the first three are one tape node each, whose forward runs in plain
-numpy and whose backward is the closed form in its docstring.  The
-combined form is the sum of two such nodes.  Higher-order moment
-matching is the biased MMD^2 under the polynomial kernel
-(x . y)^p = <x^(x)p, y^(x)p>, summed from the pooled batch Gram matrix;
-it may come out a few ulp below zero (not clamped).
+the first three are one tape node each, whose backward is the closed form
+in its docstring.  Its forward is plain numpy on batches [..., n, d]: the
+node runs it on its 2-D batches, and `loss_values` runs it on copies
+stacked along leading axes, one value per copy and each the node's value
+bit for bit, so the gradient checks evaluate all their perturbed copies of
+a batch in one call.  The combined form is the sum of two such nodes.
+Higher-order moment matching is the biased MMD^2 under the polynomial
+kernel (x . y)^p = <x^(x)p, y^(x)p>, summed from the pooled batch Gram
+matrix; it may come out a few ulp below zero (not clamped).
 The RBF-kernel MMD and the sliced Wasserstein distance are measurement
 statistics for post-hoc reports and work on plain arrays; they check their
 inputs as the training losses do, so non-finite features raise DomainError.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -24,6 +29,10 @@ DEFAULT_BANDWIDTH_SCALES = (0.5, 1.0, 2.0)
 DEFAULT_NUM_PROJECTIONS = 50
 
 
+def _is_count(value, low):
+    return isinstance(value, numbers.Integral) and value >= low
+
+
 def _check_features(src, tgt, min_rows=1):
     src, tgt = as_tensor(src), as_tensor(tgt)
     if src.ndim != 2 or tgt.ndim != 2:
@@ -32,11 +41,58 @@ def _check_features(src, tgt, min_rows=1):
         raise ShapeError(
             f"feature widths differ: {src.shape[1]} vs {tgt.shape[1]}"
         )
+    if src.shape[1] == 0:
+        raise ShapeError("feature batches need at least one feature column")
     if src.shape[0] < min_rows or tgt.shape[0] < min_rows:
         raise DegenerateBatchError(f"need at least {min_rows} samples per batch")
     if not (np.all(np.isfinite(src.data)) and np.all(np.isfinite(tgt.data))):
         raise DomainError("feature batches must be finite")
     return src, tgt
+
+
+# -- forwards on batches [..., n, d] ----------------------------------------------
+# Each returns (value, what the tape node's backward reads).  Leading copy
+# axes broadcast between the operands and give one value per copy, each the
+# 2-D call's value bit for bit; the tape nodes call them on 2-D batches.
+
+
+def _mmd_linear_forward(src, tgt):
+    gap = src.sum(axis=-2) * (1.0 / src.shape[-2]) - tgt.sum(axis=-2) * (1.0 / tgt.shape[-2])
+    sq = (gap * gap).sum(axis=-1)
+    root = np.sqrt(np.maximum(sq, 1e-12))
+    return sq / root, (gap, sq >= 1e-12, root)
+
+
+def _coral_forward(src, tgt):
+    d = src.shape[-1]
+    centered, covs = [], []
+    for x in (src, tgt):
+        n = x.shape[-2]
+        xc = x - x.sum(axis=-2, keepdims=True) * (1.0 / n)
+        centered.append(xc)
+        # the transposed copy keeps the rounding of the tensor-primitive
+        # form the tests compare against: numpy sends xc.T @ xc, a view
+        # times its own base, to another BLAS routine
+        covs.append(np.swapaxes(xc, -1, -2).copy() @ xc * (1.0 / (n - 1)))
+    diff = covs[0] - covs[1]
+    return (diff * diff).sum(axis=(-2, -1)) * (1.0 / (4.0 * d * d)), (centered, diff)
+
+
+def _homm_forward(src, tgt, order=3):
+    n, m = src.shape[-2], tgt.shape[-2]
+    weights = np.full((n + m, n + m), -1.0 / (n * m))
+    weights[:n, :n] = 1.0 / (n * n)
+    weights[n:, n:] = 1.0 / (m * m)
+    lead = np.broadcast_shapes(src.shape[:-2], tgt.shape[:-2])
+    pooled = np.concatenate([np.broadcast_to(x, lead + x.shape[-2:]) for x in (src, tgt)],
+                            axis=-2)
+    gram = pooled @ np.swapaxes(pooled, -1, -2).copy()  # the copy: see `_coral_forward`
+    scale = 1.0 / src.shape[-1] ** order
+    value = (gram ** float(order) * weights).sum(axis=(-2, -1)) * scale
+    return value, (weights, pooled, gram, scale)
+
+
+_FORWARDS = {"ddc": _mmd_linear_forward, "coral": _coral_forward, "homm": _homm_forward}
 
 
 def mmd_linear(src, tgt):
@@ -50,17 +106,14 @@ def mmd_linear(src, tgt):
     """
     src, tgt = _check_features(src, tgt)
     n, m = src.shape[0], tgt.shape[0]
-    gap = src.data.sum(axis=0) * (1.0 / n) - tgt.data.sum(axis=0) * (1.0 / m)
-    sq = (gap * gap).sum()
-    unclipped = sq >= 1e-12
-    root = np.sqrt(np.maximum(sq, 1e-12))
+    value, (gap, unclipped, root) = _mmd_linear_forward(src.data, tgt.data)
 
     def bwd(g):
         step = (2.0 * g * (1.0 - 0.5 * unclipped) / root) * gap
         _accumulate(src, np.broadcast_to(step * (1.0 / n), src.shape).copy())
         _accumulate(tgt, np.broadcast_to(step * (-1.0 / m), tgt.shape).copy())
 
-    return _node(sq / root, (src, tgt), bwd, "mmd_linear")
+    return _node(value, (src, tgt), bwd, "mmd_linear")
 
 
 def coral(src, tgt):
@@ -72,22 +125,14 @@ def coral(src, tgt):
     """
     src, tgt = _check_features(src, tgt, min_rows=2)
     d = src.shape[1]
-    centered, covs = [], []
-    for x in (src.data, tgt.data):
-        xc = x - x.sum(axis=0, keepdims=True) * (1.0 / x.shape[0])
-        centered.append(xc)
-        # the transposed copy keeps the rounding of the tensor-primitive
-        # form the tests compare against: numpy sends xc.T @ xc, a view
-        # times its own base, to another BLAS routine
-        covs.append(xc.T.copy() @ xc * (1.0 / (x.shape[0] - 1)))
-    diff = covs[0] - covs[1]
+    value, (centered, diff) = _coral_forward(src.data, tgt.data)
 
     def bwd(g):
         scale = g / (d * d)
         _accumulate(src, centered[0] @ diff * (scale / (src.shape[0] - 1)))
         _accumulate(tgt, centered[1] @ diff * (-scale / (tgt.shape[0] - 1)))
 
-    return _node((diff * diff).sum() * (1.0 / (4.0 * d * d)), (src, tgt), bwd, "coral")
+    return _node(value, (src, tgt), bwd, "coral")
 
 
 def homm(src, tgt, order=3):
@@ -102,22 +147,17 @@ def homm(src, tgt, order=3):
     One tape node: d/d X = (2 p g / d^p) (gram^(p-1) o W) X, split by rows.
     """
     src, tgt = _check_features(src, tgt)
-    if order < 1:
-        raise ConfigError("homm needs order >= 1")
-    n, m = src.shape[0], tgt.shape[0]
-    weights = np.full((n + m, n + m), -1.0 / (n * m))
-    weights[:n, :n] = 1.0 / (n * n)
-    weights[n:, n:] = 1.0 / (m * m)
-    pooled = np.concatenate([src.data, tgt.data], axis=0)
-    gram = pooled @ pooled.T.copy()  # the copy: see `coral`
-    scale = 1.0 / src.shape[1] ** order
+    if not _is_count(order, 1):
+        raise ConfigError(f"homm needs an integer order >= 1, not {order!r}")
+    n = src.shape[0]
+    value, (weights, pooled, gram, scale) = _homm_forward(src.data, tgt.data, order)
 
     def bwd(g):
         grad = (gram ** (order - 1.0) * weights) @ pooled * (2.0 * order * g * scale)
         _accumulate(src, grad[:n])
         _accumulate(tgt, grad[n:])
 
-    return _node((gram ** float(order) * weights).sum() * scale, (src, tgt), bwd, "homm")
+    return _node(value, (src, tgt), bwd, "homm")
 
 
 def mmda(src, tgt):
@@ -127,6 +167,15 @@ def mmda(src, tgt):
 
 LOSSES = {"ddc": mmd_linear, "coral": coral, "homm": homm, "mmda": mmda}
 METHODS = ("noadapt",) + tuple(LOSSES)
+
+
+def loss_values(method, src, tgt):
+    """The training loss `method` in plain numpy on feature batches
+    [..., n, d] whose leading copy axes broadcast: one value per copy, each
+    equal to the tape loss's value on that copy.  The inputs are not checked."""
+    if method == "mmda":
+        return loss_values("ddc", src, tgt) + loss_values("coral", src, tgt)
+    return _FORWARDS[method](src, tgt)[0]
 
 
 def alignment_loss(method, src, tgt):
@@ -184,8 +233,8 @@ def _mmd_rbf(src, tgt, bandwidths=None):
     bandwidths = [float(w) for w in bandwidths]
     if not bandwidths:
         raise ConfigError("mmd_rbf needs a non-empty bandwidth list")
-    if any(w <= 0 for w in bandwidths):
-        raise ConfigError("bandwidths must be positive")
+    if not all(0.0 < w < np.inf for w in bandwidths):
+        raise ConfigError(f"mmd_rbf bandwidths must be finite and positive, not {bandwidths}")
     n = len(a)
     d_ss, d_tt, d_st = sq[:n, :n], sq[n:, n:], sq[:n, n:]
     total = 0.0
@@ -215,8 +264,8 @@ def sliced_wd(src, tgt, n_projections=DEFAULT_NUM_PROJECTIONS, rng=None):
     coupling, interpolated linearly when the batch sizes differ.
     """
     a, b = (t.data for t in _check_features(src, tgt))
-    if n_projections < 1:
-        raise ConfigError("sliced_wd needs n_projections >= 1")
+    if not _is_count(n_projections, 1):
+        raise ConfigError(f"sliced_wd needs an integer n_projections >= 1, not {n_projections!r}")
     if rng is None:
         raise ConfigError("sliced_wd needs a seeded generator")
     directions = rng.standard_normal((n_projections, a.shape[1]))

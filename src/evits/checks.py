@@ -5,13 +5,18 @@ Each suite returns its worst relative error, measured per coordinate as
 Tolerances: 1e-4 for the loss suites, 1e-3 for the end-to-end model.
 A NaN error anywhere makes the worst error NaN, which fails the check.
 
-The evidential suites (`ml`, `ce`, `mse`, `kl`) have row-wise losses, so
-each point's 2 * n * k perturbed copies are stacked along the row axis
-and the per-row loss runs once.  A row's loss is the same float
-operations as in a solo call and each copy sums its rows as `.sum()`
-does, so every central difference is the per-coordinate loop's bit for
-bit.  `alignment` and `end2end` keep that loop: batch means, covariances
-and batch-norm couple their rows.
+Every suite but `end2end` evaluates a point's central differences in one
+stacked call per operand and takes all its operands' gradients from one
+backward.  The evidential suites (`ml`, `ce`, `mse`, `kl`) have row-wise
+losses, so the 2 * n * k perturbed copies are stacked along the row axis
+and the per-row loss runs once; each copy sums its rows as `.sum()`
+does.  The alignment losses couple a batch's rows through its means and
+covariances, so the copies of one feature batch go on a new leading axis
+of `alignment.loss_values`, with the other batch fixed.  Either way each
+copy's value is the same float operations as a solo call, so every
+central difference is the per-coordinate loop's bit for bit.  Only
+`end2end` keeps that loop: its copies are different models, and
+train-mode batch-norm couples the rows of every batch they see.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .tensor import (
     backward,
     central_difference_error,
     difference_error,
-    grad_check,
     shifted_points,
 )
 from .trainer import LossWeights, TrainConfig, combined_loss
@@ -75,34 +79,57 @@ def _row_cases(name, rng, points):
 
 
 def _alignment_cases(rng, points):
-    """The (function, point) pairs of the alignment suite: all four losses
-    w.r.t. both feature batches."""
-    for loss_fn in alignment.LOSSES.values():
+    """The (method, src, tgt) draws of the alignment suite: all four losses,
+    each checked w.r.t. both feature batches."""
+    for method in alignment.LOSSES:
         for _ in range(max(points // len(alignment.LOSSES), 1)):
-            src = Tensor(rng.standard_normal((5, 3)))
+            src = rng.standard_normal((5, 3))
             # keep the means apart so mmd_linear stays off its zero
-            tgt = Tensor(rng.standard_normal((5, 3)) + 1.0)
-            yield lambda s: loss_fn(s, tgt), src
-            yield lambda t: loss_fn(src, t), tgt
+            tgt = rng.standard_normal((5, 3)) + 1.0
+            yield method, src, tgt
 
 
-def _stacked_values(rows, point, step):
-    """`rows(x).sum()` at each of `point`'s `shifted_points`, [size, 2], from
-    one call of the row-wise `rows` on all 2 * size copies stacked along
-    the row axis; each value is a solo call's bit for bit."""
+def _stacked_values(values, point, step):
+    """The function at each of `point`'s `shifted_points`, [size, 2], from
+    one call of `values` on all 2 * size copies stacked along a new leading
+    axis; `values` maps copies [c, *point.shape] to their values [c]."""
     flat = point.reshape(-1)
     every = np.arange(flat.size)
-    copies = np.tile(point, (2 * flat.size, 1))
+    copies = np.tile(flat, (2 * flat.size, 1))
     copies.reshape(flat.size, 2, flat.size)[every, :, every] = shifted_points(flat, step)
-    return rows(Tensor(copies)).data.reshape(flat.size, 2, len(point)).sum(axis=2)
+    return values(copies.reshape((-1,) + point.shape)).reshape(flat.size, 2)
 
 
-def _stacked_grad_check(rows, point, step=1e-5):
-    """`grad_check(lambda x: rows(x).sum(), point)` bit for bit, with all
-    central differences from one stacked call (`_stacked_values`)."""
-    probe = Tensor(point.copy(), requires_grad=True)
-    backward(rows(probe).sum())
-    return difference_error(_stacked_values(rows, point, step), probe.grad, step)
+def _stacked_errors(loss, points, values, step=1e-5):
+    """The `grad_check` error of `loss` w.r.t. each of `points` with the
+    others fixed, bit for bit: one backward gives every operand's gradient,
+    and `values[i]` gives the loss at stacked copies of operand i
+    (`_stacked_values`)."""
+    probes = [Tensor(p.copy(), requires_grad=True) for p in points]
+    backward(loss(*probes))
+    return [difference_error(_stacked_values(v, p, step), probe.grad, step)
+            for v, p, probe in zip(values, points, probes)]
+
+
+def _summed_rows(rows):
+    """The values of `rows(x).sum()` at copies [c, n, k] of a point, [c]: the
+    row-wise `rows` runs once on all c * n rows, and each copy sums its
+    rows as `.sum()` does."""
+    def values(copies):
+        c, n, k = copies.shape
+        return rows(Tensor(copies.reshape(c * n, k))).data.reshape(c, n).sum(axis=1)
+    return values
+
+
+def _row_errors(rows, point):
+    return _stacked_errors(lambda x: rows(x).sum(), (point,), (_summed_rows(rows),))
+
+
+def _alignment_errors(method, src, tgt):
+    return _stacked_errors(
+        alignment.LOSSES[method], (src, tgt),
+        (lambda s: alignment.loss_values(method, s, tgt),
+         lambda t: alignment.loss_values(method, src, t)))
 
 
 def end_to_end_suite(seed=0, step=1e-5):
@@ -125,9 +152,10 @@ def end_to_end_suite(seed=0, step=1e-5):
 
     tensors = mo.make_param_tensors(params)
     backward(loss_value(tensors))
+    # these wrap params.arrays, which central_difference_error moves in place
+    frozen = mo.make_param_tensors(params, trainable=False)
     return float(np.max([central_difference_error(
-        lambda: loss_value(mo.make_param_tensors(params, trainable=False)),
-        params.arrays[name], tensors[name].grad, step)
+        lambda: loss_value(frozen), params.arrays[name], tensors[name].grad, step)
         for name in params.trainable_names()]))
 
 
@@ -143,7 +171,7 @@ def run_suite(name, points=DEFAULT_POINTS, seed=0):
         raise ConfigError(f"unknown gradient suite {name!r}")
     rng = _suite_rng(name, seed)
     if name == "alignment":
-        errors = [grad_check(fn, point) for fn, point in _alignment_cases(rng, points)]
+        errors = [_alignment_errors(*case) for case in _alignment_cases(rng, points)]
     else:
-        errors = [_stacked_grad_check(rows, point) for rows, point in _row_cases(name, rng, points)]
+        errors = [_row_errors(*case) for case in _row_cases(name, rng, points)]
     return float(np.max(errors)), LOSS_TOLERANCE

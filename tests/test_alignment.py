@@ -112,6 +112,43 @@ def test_nonfinite_features_raise_domain_error(loss, bad):
         loss(tgt, src)
 
 
+@pytest.mark.parametrize("loss", [
+    al.mmd_linear, al.coral, al.homm, al.mmda, al.mmd_rbf,
+    pytest.param(functools.partial(al.sliced_wd, rng=np.random.default_rng(0)),
+                 id="sliced_wd")])
+def test_zero_width_features_raise_shape_error(loss):
+    with pytest.raises(ShapeError, match="feature column"):
+        loss(np.zeros((4, 0)), np.zeros((4, 0)))
+
+
+@pytest.mark.parametrize("call,argument", [
+    (lambda x: al.homm(x, x + 1.0, order=2.5), "order"),
+    (lambda x: al.mmd_rbf(x, x + 1.0, [np.nan]), "bandwidths"),
+    (lambda x: al.mmd_rbf(x, x + 1.0, [1.0, np.inf]), "bandwidths"),
+    (lambda x: al.sliced_wd(x, x + 1.0, 2.5, np.random.default_rng(0)), "n_projections"),
+], ids=["homm_fractional_order", "mmd_rbf_nan_bandwidth", "mmd_rbf_inf_bandwidth",
+        "sliced_wd_fractional_projections"])
+def test_bad_setting_raises_config_error_naming_it(call, argument):
+    x = np.random.default_rng(61).standard_normal((4, 3))
+    with pytest.raises(ConfigError, match=argument):
+        call(x)
+
+
+@pytest.mark.parametrize("method", list(al.LOSSES))
+def test_loss_values_broadcast_over_copy_axes(method):
+    # each copy's value is the tape loss's on that copy, with either operand
+    # stacked, both stacked, or two leading axes
+    rng = np.random.default_rng(62)
+    src, tgt = rng.standard_normal((2, 3, 5, 4)), rng.standard_normal((2, 3, 6, 4)) + 0.5
+    loss = al.LOSSES[method]
+    got = al.loss_values(method, src, tgt)
+    assert got.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert got[i, j] == loss(src[i, j], tgt[i, j]).data
+    solo = [loss(s, tgt[0, 0]).data for s in src[0]]
+    assert np.array_equal(al.loss_values(method, src[0], tgt[0, 0]), solo)
+
+
 def two_point_1d(variance):
     # two samples whose unbiased variance is exactly `variance`
     return np.array([[0.0], [np.sqrt(2.0 * variance)]])
