@@ -20,7 +20,8 @@ from . import __version__
 from . import alignment, checks, data as da, metrics as me, model as mo
 from . import multiscale as ms
 from . import trainer as tr
-from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError, check_seed
+from .errors import (ConfigError, DomainError, NumericalAbort, ShapeError, ToolkitError,
+                     check_seed)
 
 OUTPUT_DIR_ENV = "EVITS_OUTDIR"
 
@@ -109,7 +110,9 @@ PARAMS = (
           ("select-lambda3",)),
     Param("bins", int, me.DEFAULT_ECE_BINS, ("eval",)),
     Param("n_proj", int, alignment.DEFAULT_NUM_PROJECTIONS, ("discrepancy",)),
-    Param("points", int, checks.DEFAULT_POINTS, ("gradcheck",)),
+    Param("points", int, checks.DEFAULT_POINTS, ("gradcheck",),
+          help="random points per suite; end2end checks one model at every "
+               "parameter, whatever the value"),
     Param("suite", str, "all", ("gradcheck",), ("all",) + checks.SUITES),
 )
 
@@ -375,8 +378,8 @@ def cmd_discrepancy(args):
                               ("--target", args.target, target)):
         try:
             feats.append(mo.forward(params, batch.values, mode="eval").mixed.data)
-        except DomainError as exc:
-            raise DomainError(f"{flag} {path}: {exc}") from exc
+        except (DomainError, ShapeError) as exc:
+            raise type(exc)(f"{flag} {path}: {exc}") from exc
     feats_src, feats_tgt = feats
     mmd_value, bandwidths = alignment._mmd_rbf(feats_src, feats_tgt)
     wd_value = float(alignment.sliced_wd(feats_src, feats_tgt, n_proj,

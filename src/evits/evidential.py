@@ -67,7 +67,8 @@ def _require_range(values, floor, message):
 
 
 class DirichletBatch:
-    """Per-sample Dirichlet concentrations with derived evidence totals."""
+    """Per-sample Dirichlet concentrations alpha [N, K] and their strengths
+    S = sum(alpha) = sum(evidence) + K."""
 
     def __init__(self, alpha):
         alpha = as_tensor(alpha)
@@ -83,6 +84,8 @@ class DirichletBatch:
 
     @property
     def total_evidence(self):
+        """The Dirichlet strength S = sum(alpha) = sum(evidence) + K per
+        sample [N], not the total evidence sum(evidence)."""
         if self._total is None:
             self._total = self.alpha.sum(axis=1)
         return self._total

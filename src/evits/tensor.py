@@ -547,23 +547,10 @@ def difference_error(values, analytic, step):
     return float(rel.max(initial=0.0))
 
 
-def central_difference_error(value, array, analytic, step):
-    """`difference_error` of the scalar `value()`, read with each entry of
-    `array` moved in place to its two `shifted_points` and then restored."""
-    flat = array.reshape(-1)
-    points = shifted_points(flat, step)
-    values = np.empty(points.shape)
-    for i, saved in enumerate(flat.copy()):
-        for side in (0, 1):
-            flat[i] = points[i, side]
-            values[i, side] = value().data.reshape(())
-        flat[i] = saved
-    return difference_error(values, analytic, step)
-
-
 def grad_check(fn, point, step=1e-5):
-    """Max relative gap between the taped gradient of `fn` at `point` and
-    central differences (see `central_difference_error`)."""
+    """Max relative gap (`difference_error`) between the taped gradient of
+    `fn` at `point` and central differences, with `fn` called on one
+    shifted copy of `point` at a time."""
     if step <= 0:
         raise ConfigError("grad_check needs step > 0")
     point = as_tensor(point)
@@ -572,6 +559,12 @@ def grad_check(fn, point, step=1e-5):
     if out.data.size != 1:
         raise ContractError("grad_check needs a scalar-valued function")
     backward(out)
-    base = point.data.copy()
-    return central_difference_error(lambda: fn(Tensor(base)), base,
-                                    probe.grad, step)
+    flat = point.data.reshape(-1)
+    points = shifted_points(flat, step)
+    values = np.empty(points.shape)
+    for i in range(flat.size):
+        for side in (0, 1):
+            copy = flat.copy()
+            copy[i] = points[i, side]
+            values[i, side] = fn(Tensor(copy.reshape(point.shape))).data.reshape(())
+    return difference_error(values, probe.grad, step)

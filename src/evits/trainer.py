@@ -17,7 +17,8 @@ from itertools import islice
 import numpy as np
 
 from . import alignment, metrics, model as mo
-from .errors import ConfigError, DomainError, NumericalAbort, ToolkitError, check_seed
+from .errors import (ConfigError, DomainError, NumericalAbort, ShapeError, ToolkitError,
+                     check_seed)
 from .evidential import (
     LOSSES,
     AnnealSchedule,
@@ -253,16 +254,26 @@ def _finite_check(named_values, epoch, step, kind="loss component"):
             raise NumericalAbort(name, epoch, step, kind)
 
 
+def _check_rows_match(source, batch, name):
+    """Refuse a batch whose [C, T] differs from the source's, naming both."""
+    if batch.values.shape[1:] != source.values.shape[1:]:
+        raise ShapeError(f"the {name} batch's [C, T] {batch.values.shape[1:]} does not "
+                         f"match the source's {source.values.shape[1:]}")
+
+
 def check_inputs(train_config, source, target):
     """Refuse batches `train` cannot use: an unlabeled or empty source, or a
-    missing or empty target when `train_config.aligns`, the only case that
-    reads the target (never its labels)."""
+    missing or empty target, or one whose [C, T] is not the source's, when
+    `train_config.aligns`, the only case that reads the target (never its
+    labels)."""
     if not source.labeled:
         raise ConfigError("the source batch must carry labels")
     if len(source) == 0:
         raise ConfigError("the source batch holds no rows")
-    if train_config.aligns and (target is None or len(target) == 0):
-        raise ConfigError(f"method {train_config.method!r} needs a non-empty target batch")
+    if train_config.aligns:
+        if target is None or len(target) == 0:
+            raise ConfigError(f"method {train_config.method!r} needs a non-empty target batch")
+        _check_rows_match(source, target, "target")
 
 
 def train(model_config, train_config, source, target):
@@ -359,6 +370,10 @@ def select_lambda3(grid, model_config, train_config, source, target,
     if train_config.evidential == "none":
         raise ConfigError("lambda3 selection needs an evidential head: "
                           "with evidential 'none' lambda3 changes nothing")
+    if target_val.num_classes != source.num_classes:
+        raise ConfigError(f"the validation batch has {target_val.num_classes} classes, "
+                          f"the source {source.num_classes}")
+    _check_rows_match(source, target_val, "validation")
     rows = []
     best = None
     for value in grid:

@@ -40,6 +40,12 @@ def test_run_suite_needs_a_point(name):
         checks.run_suite(name, points=0)
 
 
+@pytest.mark.parametrize("points", [2.5, True, "3", np.float64(3.0)])
+def test_run_suite_needs_an_integer_points(points):
+    with pytest.raises(ConfigError, match="integer points >= 1"):
+        checks.run_suite("ml", points=points)
+
+
 @pytest.mark.parametrize("name", checks.SUITES)
 def test_run_suite_needs_a_non_negative_seed(name):
     with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
@@ -53,28 +59,22 @@ def test_suites_deterministic_per_seed():
         assert 0.0 < a[0] < a[1]
 
 
+def _oracle(name, points, seed):
+    """The worst `grad_check` error over a suite's cases, one operand and
+    one shifted copy at a time, the other operands fixed."""
+    worst = 0.0
+    for loss, operands, _ in checks._cases(name, points, seed):
+        fixed = [Tensor(p) for p in operands]
+        for i, point in enumerate(operands):
+            worst = max(worst, grad_check(
+                lambda probe: loss(*fixed[:i], probe, *fixed[i + 1:]), point))
+    return worst
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("name", ROW_SUITES)
 def test_stacked_suite_matches_per_coordinate_oracle(name, seed):
-    points = 12
-    cases = checks._row_cases(name, checks._suite_rng(name, seed), points)
-    oracle = max(grad_check(lambda x: rows(x).sum(), point) for rows, point in cases)
-    assert checks.run_suite(name, points=points, seed=seed)[0] == oracle
-
-
-@pytest.mark.parametrize("name", ROW_SUITES)
-def test_stacked_values_equal_solo_calls(name):
-    step = 1e-5
-    cases = checks._row_cases(name, checks._suite_rng(name, 2), 4)
-    for rows, point in cases:
-        solo = np.empty((point.size, 2))
-        for i in range(point.size):
-            for side, shift in enumerate((step, -step)):
-                copy = point.copy()
-                copy.flat[i] += shift
-                solo[i, side] = rows(Tensor(copy)).sum().data
-        stacked = checks._stacked_values(checks._summed_rows(rows), point, step)
-        assert np.array_equal(stacked, solo)
+    assert checks.run_suite(name, points=12, seed=seed)[0] == _oracle(name, 12, seed)
 
 
 def _solo_values(value, point, step):
@@ -87,12 +87,19 @@ def _solo_values(value, point, step):
     return solo
 
 
+@pytest.mark.parametrize("name", ROW_SUITES)
+def test_stacked_values_equal_solo_calls(name):
+    step = 1e-5
+    for loss, (point,), (values,) in checks._cases(name, 4, 2):
+        stacked = checks._stacked_values(values, point, step)
+        assert np.array_equal(stacked, _solo_values(lambda x: loss(Tensor(x)).data, point, step))
+
+
 @pytest.mark.parametrize("seed", [2, 7])
 @pytest.mark.parametrize("method", list(al.LOSSES))
 def test_stacked_alignment_values_equal_solo_calls(method, seed):
     step, loss = 1e-5, al.LOSSES[method]
-    rng = checks._suite_rng("alignment", seed)
-    for _, src, tgt in checks._alignment_cases(rng, 8):
+    for _, (src, tgt), _ in checks._cases("alignment", 8, seed):
         stacked = checks._stacked_values(lambda s: al.loss_values(method, s, tgt), src, step)
         solo = _solo_values(lambda s: loss(Tensor(s), Tensor(tgt)).data, src, step)
         assert np.array_equal(stacked, solo)
@@ -103,13 +110,11 @@ def test_stacked_alignment_values_equal_solo_calls(method, seed):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_stacked_alignment_suite_matches_per_coordinate_oracle(seed):
-    points = 12
-    oracle = 0.0
-    for method, src, tgt in checks._alignment_cases(checks._suite_rng("alignment", seed), points):
-        loss = al.LOSSES[method]
-        oracle = max(oracle, grad_check(lambda s: loss(s, tgt), src),
-                     grad_check(lambda t: loss(src, t), tgt))
-    assert checks.run_suite("alignment", points=points, seed=seed)[0] == oracle
+    assert checks.run_suite("alignment", points=12, seed=seed)[0] == _oracle("alignment", 12, seed)
+
+
+def test_stacked_end2end_matches_per_coordinate_oracle():
+    assert checks.run_suite("end2end", points=1, seed=0)[0] == _oracle("end2end", 1, 0)
 
 
 def _nan_gradient(loss_fn):
@@ -146,7 +151,7 @@ def test_nan_gradient_fails_the_alignment_suite(monkeypatch, capsys):
     assert "worst_rel_error=nan" in out and "FAIL" in out
 
 
-def test_end2end_wraps_the_parameters_twice(monkeypatch):
+def test_end2end_wraps_the_parameters_once(monkeypatch):
     wrap, calls = checks.mo.make_param_tensors, []
 
     def counted(*args, **kwargs):
@@ -154,16 +159,17 @@ def test_end2end_wraps_the_parameters_twice(monkeypatch):
         return wrap(*args, **kwargs)
 
     monkeypatch.setattr(checks.mo, "make_param_tensors", counted)
-    checks.end_to_end_suite(seed=0)
-    assert calls == [{}, {"trainable": False}]
+    checks.run_suite("end2end", points=1, seed=0)
+    assert calls == [{"trainable": False}]  # once per run, not once per copy
 
 
 def test_nan_error_of_one_parameter_fails_end2end(monkeypatch):
-    exact, calls = checks.central_difference_error, []
+    exact, calls = checks.difference_error, []
 
     def nan_for_the_second(*args):
         calls.append(args)
         return np.nan if len(calls) == 2 else exact(*args)
 
-    monkeypatch.setattr(checks, "central_difference_error", nan_for_the_second)
-    assert np.isnan(checks.end_to_end_suite(seed=0))
+    monkeypatch.setattr(checks, "difference_error", nan_for_the_second)
+    assert np.isnan(checks.run_suite("end2end", points=1, seed=0)[0])
+    assert len(calls) > 2  # every parameter of the one case, after the NaN too

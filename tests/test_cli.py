@@ -364,6 +364,23 @@ class TestDiscrepancy:
         assert not (out / "discrepancy.txt").exists()
 
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_other_channel_count_exits_2_naming_the_file(self, trained, tmp_path,
+                                                         capsys, side):
+        files = dict(zip(("source", "target"), trained[:2]))
+        batch = da.read_evts(files[side])
+        files[side] = tmp_path / "wide.evts"
+        da.write_evts(da.TimeSeriesBatch(values=np.repeat(batch.values, 3, axis=1),
+                                         labels=batch.labels,
+                                         num_classes=batch.num_classes), files[side])
+        out = tmp_path / "disc"
+        assert run_cli("discrepancy", "--model", str(trained[2]), "--source",
+                       str(files["source"]), "--target", str(files["target"]),
+                       "--out-dir", str(out)) == 2
+        assert (f"--{side} {files[side]}: input (24, 3, 64) does not match [N, 1, 64]"
+                in capsys.readouterr().err)
+        assert not (out / "discrepancy.txt").exists()
+
 class TestGradcheck:
     def test_single_suite(self, capsys):
         assert run_cli("gradcheck", "--suite", "ce", "--points", "5",

@@ -436,4 +436,4 @@ class TestSerialization:
 
 
 def test_end_to_end_tiny_gradcheck():
-    assert checks.end_to_end_suite(seed=0) < 1e-3
+    assert checks.run_suite("end2end", seed=0)[0] < 1e-3

@@ -58,3 +58,9 @@ def test_every_config_keyword_is_a_field():
         for keyword in call.keywords:
             if keyword.arg is not None:  # a ** spread names no field here
                 assert keyword.arg in fields, f"{call.func.attr}({keyword.arg}=...)"
+
+
+def test_the_traced_suites_are_the_toolkit_suites_in_order():
+    # the tracer names its per-suite spans from its own copy of the list
+    from evits import checks
+    assert _tracer().SUITES == checks.SUITES

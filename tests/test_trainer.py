@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -12,7 +13,7 @@ from evits import experiments as ex
 from evits import metrics as me
 from evits import model as mo
 from evits import trainer as tr
-from evits.errors import ConfigError, NumericalAbort
+from evits.errors import ConfigError, NumericalAbort, ShapeError
 from evits.evidential import AnnealSchedule, LabelBatch
 from evits.tensor import Tensor
 
@@ -293,6 +294,19 @@ class TestTrain:
                                    match=f"'{method}' needs a non-empty target"):
                     tr.train(tiny_model_config(), cfg, source, missing)
 
+    @pytest.mark.parametrize("values", [np.zeros((5, 2, 32)), np.zeros((5, 1, 16))])
+    def test_alignment_refuses_a_target_of_other_rows(self, values, monkeypatch):
+        source, _ = synth_pair()
+        target = da.TimeSeriesBatch(values=values, labels=None, num_classes=2)
+        cfg = train_config(method="ddc", weights=tr.default_weights("ddc", "none"))
+        monkeypatch.setattr(tr.mo, "init", lambda config: pytest.fail("built a model"))
+        match = re.escape(f"target batch's [C, T] {values.shape[1:]} does not match "
+                          "the source's (1, 32)")
+        with pytest.raises(ShapeError, match=match):
+            tr.train(tiny_model_config(), cfg, source, target)
+        # a run that never reads the target does not check it
+        tr.check_inputs(train_config(), source, target)
+
     def test_alignment_off_never_reads_the_target(self):
         # ddc with lambda2 = 0 runs no domain term, so it needs no target
         # and trains the noadapt model bit for bit
@@ -394,6 +408,24 @@ class TestSelectLambda3:
         assert rows[0]["status"].startswith("failed")
         assert rows[0]["target_f1"] is None
         assert best == 0.1
+
+    @pytest.mark.parametrize("num_classes,values,error,match", [
+        (3, None, ConfigError, "validation batch has 3 classes, the source 2"),
+        (2, np.zeros((4, 1, 16)), ShapeError,
+         r"validation batch's \[C, T\] \(1, 16\) does not match the source's \(1, 32\)"),
+    ])
+    def test_mismatched_validation_rejected_before_training(
+            self, monkeypatch, num_classes, values, error, match):
+        source, target = synth_pair()
+        values = target.values if values is None else values
+        val = da.TimeSeriesBatch(values=values, labels=np.zeros(len(values)),
+                                 num_classes=num_classes)
+        calls = []
+        monkeypatch.setattr(tr, "train", lambda *args: calls.append(args))
+        with pytest.raises(error, match=match):
+            tr.select_lambda3([0.1], tiny_model_config(),
+                              train_config(evidential="ce"), source, target, val)
+        assert calls == []
 
     def test_unlabeled_validation_rejected(self):
         source, target = synth_pair()
